@@ -127,67 +127,32 @@ int main(int argc, char** argv) {
                "below 100% on every design.\n\n";
 
   // --- Maze-expansion engine through the whole flow ------------------------
-  // Identical compiles except RouterOptions::queue_mode: the classic
-  // binary heap vs the monotone bucket queue, timing-driven so the QoR
-  // gate (a non-zero exit) checks what the flow actually optimizes —
-  // bucket routing must never be worse on worst context critical path,
-  // then total wirelength.  The BENCH_JSON lines carry the queue-traffic
-  // counters so the two engines' work is comparable offline.
+  // One timing-driven compile; the BENCH_JSON line carries its critical
+  // path, wirelength and queue-traffic counters, all deterministic, so
+  // scripts/bench_guard.py pins them against BENCH_FLOW.json.
   {
-    const auto wirelength = [&](const core::CompiledDesign& d) {
-      return stat_total(d, &core::ContextStats::wire_nodes_used);
-    };
-    const auto worst_path = [](const core::CompiledDesign& d) {
-      double worst = 0.0;
-      for (const auto& s : d.context_stats) {
-        worst = std::max(worst, s.critical_path);
-      }
-      return worst;
-    };
-
-    Table et({"engine", "crit path", "wirelength", "heap pushes",
-              "stale pops", "nodes expanded"});
     core::CompileOptions opts;
     opts.placer.timing_mode = true;
     opts.router.timing_mode = true;
     const auto nl = workload::pipeline_workload(4, smoke ? 6 : 8);
-    bool gate_ok = true;
-    double binary_path = 0.0;
-    std::size_t binary_wirelength = 0;
-    for (const route::QueueMode mode :
-         {route::QueueMode::kBinaryHeap, route::QueueMode::kBucket}) {
-      const bool bucket = mode == route::QueueMode::kBucket;
-      opts.router.queue_mode = mode;
-      const auto d = core::compile(nl, spec, opts);
-      const double path = worst_path(d);
-      const std::size_t wl = wirelength(d);
-      if (bucket) {
-        gate_ok = path < binary_path ||
-                  (path == binary_path && wl <= binary_wirelength);
-      } else {
-        binary_path = path;
-        binary_wirelength = wl;
-      }
-      et.add_row(
-          {bucket ? "bucket queue" : "binary heap", fmt_double(path, 1),
-           fmt_count(wl),
-           fmt_count(stat_total(d, &core::ContextStats::heap_pushes)),
-           fmt_count(stat_total(d, &core::ContextStats::stale_pops)),
-           fmt_count(stat_total(d, &core::ContextStats::nodes_expanded))});
-      bench::json_line(bucket ? "flow_engine_bucket" : "flow_engine_binary",
-                       nl.total_lut_ops(), 0.0, path,
-                       "\"wirelength\":" + std::to_string(wl) + "," +
-                           engine_counters_json(d));
+    const auto d = core::compile(nl, spec, opts);
+    double path = 0.0;
+    for (const auto& s : d.context_stats) {
+      path = std::max(path, s.critical_path);
     }
+    const std::size_t wl = stat_total(d, &core::ContextStats::wire_nodes_used);
+    Table et({"crit path", "wirelength", "heap pushes", "stale pops",
+              "nodes expanded"});
+    et.add_row({fmt_double(path, 1), fmt_count(wl),
+                fmt_count(stat_total(d, &core::ContextStats::heap_pushes)),
+                fmt_count(stat_total(d, &core::ContextStats::stale_pops)),
+                fmt_count(stat_total(d, &core::ContextStats::nodes_expanded))});
+    bench::json_line("flow_engine", nl.total_lut_ops(), 0.0, path,
+                     "\"wirelength\":" + std::to_string(wl) + "," +
+                         engine_counters_json(d));
     std::cout << "maze-expansion engine through the timing-driven flow:\n";
     et.print(std::cout);
-    if (!gate_ok) {
-      std::cout << "FAIL: bucket-queue flow worse on QoR (critical path, "
-                   "then wirelength)\n";
-      return 1;
-    }
-    std::cout << "bucket-queue flow QoR never worse than the binary "
-                 "heap's.\n\n";
+    std::cout << "\n";
   }
 
   // --- Per-stage pipeline timings and routing parallelism ------------------

@@ -5,16 +5,14 @@
 // under both configurations, then times serial vs parallel per-context
 // routing on a multi-context workload.
 //
-// The bench also compares the router's two maze-expansion engines
-// (RouterOptions::queue_mode): the classic binary heap against the
-// monotone bucket queue, on a congested random multi-context workload —
-// wall clock, queue-traffic counters, and a QoR gate (bucket must never
-// be worse on worst critical switches, then wirelength; non-smoke runs
-// additionally gate the >= 1.5x maze-expansion speedup), and the two
-// cross-context negotiation schedulers (whole-context rounds vs the
-// net-interleaved merged queue) on the same workload — total maze
-// traffic summed over every round/wave, with a >= 1.3x expansion
-// reduction gate at equal-or-better conflicts and critical switches.
+// The bench also times the router's maze expansion (Dial's calendar
+// queue) on a congested random multi-context workload — wall clock,
+// queue-traffic counters, QoR, and the same engine under a timing-driven
+// compile — and compares the two cross-context negotiation schedulers
+// (whole-context rounds vs the net-interleaved merged queue) on the same
+// workload: total maze traffic summed over every round/wave, with a
+// >= 1.3x expansion reduction gate at equal-or-better conflicts and
+// critical switches.
 //
 // Pass --smoke for a reduced CI-sized run.  Every measurement also emits
 // one BENCH_JSON machine-readable line (see bench_json.hpp).
@@ -233,13 +231,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Maze-expansion engine: binary heap vs bucket queue ------------------
-  // Identical congested workload, identical options except queue_mode;
-  // serial routing so the wall clock is the engine, not the scheduler.
-  // The gate (a non-zero exit) enforces the bucket engine's contract:
-  // never worse on QoR (worst critical switches, then total wirelength),
-  // and — outside --smoke, where machine noise would flake CI — at least
-  // a 1.5x maze-expansion speedup.
+  // --- Maze-expansion engine on the congested workload ----------------------
+  // Serial routing, so the wall clock is the engine, not the scheduler.
+  // The queue-traffic counters and QoR are deterministic for the seed;
+  // scripts/bench_guard.py pins them, so an engine regression fails CI.
   {
     using clock = std::chrono::steady_clock;
     arch::FabricSpec spec;
@@ -252,106 +247,55 @@ int main(int argc, char** argv) {
     const auto nets = random_route_problem(g, 4, nets_per_context, 1234);
     const std::size_t reps = smoke ? 1 : 3;
 
-    struct EngineRun {
-      double best_ms = 0.0;
-      route::RouteResult result;
-    };
-    const auto run_engine = [&](route::QueueMode mode) {
-      route::RouterOptions opts;
-      opts.num_threads = 1;
-      opts.queue_mode = mode;
-      const route::Router router(g, opts);
-      EngineRun run;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        const clock::time_point start = clock::now();
-        route::RouteResult result = router.route(nets);
-        const double ms =
-            std::chrono::duration<double>(clock::now() - start).count() * 1e3;
-        if (rep == 0 || ms < run.best_ms) {
-          run.best_ms = ms;
-        }
-        run.result = std::move(result);
+    route::RouterOptions opts;
+    opts.num_threads = 1;
+    const route::Router router(g, opts);
+    double best_ms = 0.0;
+    route::RouteResult r;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      const clock::time_point start = clock::now();
+      r = router.route(nets);
+      const double ms =
+          std::chrono::duration<double>(clock::now() - start).count() * 1e3;
+      if (rep == 0 || ms < best_ms) {
+        best_ms = ms;
       }
-      return run;
-    };
-
-    const EngineRun binary = run_engine(route::QueueMode::kBinaryHeap);
-    const EngineRun bucket = run_engine(route::QueueMode::kBucket);
-
-    Table et({"engine", "route (ms)", "heap pushes", "heap pops",
-              "stale pops", "nodes expanded", "worst switches",
-              "wirelength"});
-    const auto counters_json = [](const route::RouteResult& r) {
-      return "\"heap_pushes\":" +
-             std::to_string(total_of(r, &route::ContextRouteSummary::
-                                            heap_pushes)) +
-             ",\"heap_pops\":" +
-             std::to_string(
-                 total_of(r, &route::ContextRouteSummary::heap_pops)) +
-             ",\"stale_pops\":" +
-             std::to_string(
-                 total_of(r, &route::ContextRouteSummary::stale_pops)) +
-             ",\"nodes_expanded\":" +
-             std::to_string(
-                 total_of(r, &route::ContextRouteSummary::nodes_expanded)) +
-             ",\"worst_switches\":" + std::to_string(worst_switches(r));
-    };
-    for (const auto* e : {&binary, &bucket}) {
-      const route::RouteResult& r = e->result;
-      et.add_row(
-          {e == &binary ? "binary heap" : "bucket queue",
-           fmt_double(e->best_ms, 2),
-           fmt_count(total_of(r, &route::ContextRouteSummary::heap_pushes)),
-           fmt_count(total_of(r, &route::ContextRouteSummary::heap_pops)),
-           fmt_count(total_of(r, &route::ContextRouteSummary::stale_pops)),
-           fmt_count(
-               total_of(r, &route::ContextRouteSummary::nodes_expanded)),
-           std::to_string(worst_switches(r)),
-           fmt_count(
-               total_of(r, &route::ContextRouteSummary::wire_nodes_used))});
-      bench::json_line(
-          e == &binary ? "routing_engine_binary" : "routing_engine_bucket",
-          4 * nets_per_context, e->best_ms,
-          static_cast<double>(
-              total_of(r, &route::ContextRouteSummary::wire_nodes_used)),
-          counters_json(r));
     }
-    std::cout << "\nmaze-expansion engine comparison (serial, congested "
-                 "random workload, best of "
+    if (!r.success) {
+      std::cout << "FAIL: engine workload did not converge\n";
+      return 1;
+    }
+
+    const std::size_t pushes =
+        total_of(r, &route::ContextRouteSummary::heap_pushes);
+    const std::size_t pops =
+        total_of(r, &route::ContextRouteSummary::heap_pops);
+    const std::size_t stale =
+        total_of(r, &route::ContextRouteSummary::stale_pops);
+    const std::size_t expanded =
+        total_of(r, &route::ContextRouteSummary::nodes_expanded);
+    const std::size_t wirelength =
+        total_of(r, &route::ContextRouteSummary::wire_nodes_used);
+    Table et({"route (ms)", "pushes", "pops", "stale pops", "nodes expanded",
+              "worst switches", "wirelength"});
+    et.add_row({fmt_double(best_ms, 2), fmt_count(pushes), fmt_count(pops),
+                fmt_count(stale), fmt_count(expanded),
+                std::to_string(worst_switches(r)), fmt_count(wirelength)});
+    bench::json_line("routing_engine", 4 * nets_per_context, best_ms,
+                     static_cast<double>(wirelength),
+                     "\"heap_pushes\":" + std::to_string(pushes) +
+                         ",\"heap_pops\":" + std::to_string(pops) +
+                         ",\"stale_pops\":" + std::to_string(stale) +
+                         ",\"nodes_expanded\":" + std::to_string(expanded) +
+                         ",\"worst_switches\":" +
+                         std::to_string(worst_switches(r)));
+    std::cout << "\nmaze expansion (serial, congested random workload, best "
+                 "of "
               << reps << "):\n";
     et.print(std::cout);
-    const double speedup =
-        bucket.best_ms > 0.0 ? binary.best_ms / bucket.best_ms : 0.0;
-    std::cout << "maze-expansion speedup (binary / bucket): "
-              << fmt_double(speedup, 2) << "x\n";
-    bench::json_line("routing_engine_speedup", 4 * nets_per_context, 0.0,
-                     speedup);
 
-    if (!binary.result.success || !bucket.result.success) {
-      std::cout << "FAIL: engine comparison workload did not converge\n";
-      return 1;
-    }
-    const std::size_t ws_bin = worst_switches(binary.result);
-    const std::size_t ws_buk = worst_switches(bucket.result);
-    const std::size_t wl_bin =
-        total_of(binary.result, &route::ContextRouteSummary::wire_nodes_used);
-    const std::size_t wl_buk =
-        total_of(bucket.result, &route::ContextRouteSummary::wire_nodes_used);
-    if (ws_buk > ws_bin || (ws_buk == ws_bin && wl_buk > wl_bin)) {
-      std::cout << "FAIL: bucket queue worse on QoR (worst switches "
-                << ws_buk << " vs " << ws_bin << ", wirelength " << wl_buk
-                << " vs " << wl_bin << ")\n";
-      return 1;
-    }
-    if (!smoke && speedup < 1.5) {
-      std::cout << "FAIL: bucket engine speedup " << fmt_double(speedup, 2)
-                << "x below the 1.5x gate\n";
-      return 1;
-    }
-
-    // Whole-flow QoR cross-check with timing-driven routing: an identical
-    // compile with each engine — bucket must not end with a worse worst
-    // context critical path (then wirelength).
+    // The same engine under the timing-driven flow: worst context critical
+    // path and wirelength of a compiled pipeline.
     arch::FabricSpec flow_spec;
     flow_spec.width = 5;
     flow_spec.height = 5;
@@ -360,35 +304,19 @@ int main(int argc, char** argv) {
     core::CompileOptions flow_opts;
     flow_opts.placer.timing_mode = true;
     flow_opts.router.timing_mode = true;
-    core::CompileOptions bucket_opts = flow_opts;
-    bucket_opts.router.queue_mode = route::QueueMode::kBucket;
-    const auto d_bin = core::compile(
+    const auto d = core::compile(
         workload::pipeline_workload(4, smoke ? 6 : 8), flow_spec, flow_opts);
-    const auto d_buk = core::compile(
-        workload::pipeline_workload(4, smoke ? 6 : 8), flow_spec,
-        bucket_opts);
-    const auto flow_qor = [](const core::CompiledDesign& d) {
-      double worst = 0.0;
-      std::size_t wirelength = 0;
-      for (const auto& s : d.context_stats) {
-        worst = std::max(worst, s.critical_path);
-        wirelength += s.wire_nodes_used;
-      }
-      return std::make_pair(worst, wirelength);
-    };
-    const auto [cp_bin, fwl_bin] = flow_qor(d_bin);
-    const auto [cp_buk, fwl_buk] = flow_qor(d_buk);
-    std::cout << "timing-driven compile, worst critical path: binary "
-              << fmt_double(cp_bin, 1) << " vs bucket "
-              << fmt_double(cp_buk, 1) << " SE\n";
-    bench::json_line("routing_engine_flow_binary", 4, 0.0, cp_bin,
-                     "\"wirelength\":" + std::to_string(fwl_bin));
-    bench::json_line("routing_engine_flow_bucket", 4, 0.0, cp_buk,
-                     "\"wirelength\":" + std::to_string(fwl_buk));
-    if (cp_buk > cp_bin || (cp_buk == cp_bin && fwl_buk > fwl_bin)) {
-      std::cout << "FAIL: bucket queue worse on timing-driven flow QoR\n";
-      return 1;
+    double worst = 0.0;
+    std::size_t flow_wirelength = 0;
+    for (const auto& s : d.context_stats) {
+      worst = std::max(worst, s.critical_path);
+      flow_wirelength += s.wire_nodes_used;
     }
+    std::cout << "timing-driven compile, worst critical path: "
+              << fmt_double(worst, 1) << " SE, wirelength "
+              << flow_wirelength << "\n";
+    bench::json_line("routing_engine_flow", 4, 0.0, worst,
+                     "\"wirelength\":" + std::to_string(flow_wirelength));
   }
 
   // --- Cross-context negotiation: round-based vs net-interleaved -----------

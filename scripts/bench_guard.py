@@ -3,10 +3,11 @@
 
 Compares the BENCH_JSON lines of a fresh --smoke bench run against the
 "smoke_baseline" section of a pinned bench JSON file (BENCH_ROUTING.json,
-BENCH_INCREMENTAL.json).  The interesting counters — maze expansions,
-queue pushes, negotiation rounds/waves, conflicts, delta-path hits — are
-deterministic for the pinned seeds, so a drift outside the tolerance
-band means an algorithmic change, not machine noise.  Wall-clock keys
+BENCH_FLOW.json, BENCH_INCREMENTAL.json, BENCH_SERVE.json).  The
+interesting counters — maze expansions, queue pushes, negotiation
+rounds/waves, conflicts, delta-path hits — are deterministic for the
+pinned seeds, so a drift outside the tolerance band means an
+algorithmic change, not machine noise.  Wall-clock keys
 (and wall-derived speedups) are never compared.
 
 Usage:
@@ -70,8 +71,8 @@ def compare_value(key, pinned, fresh, tolerance, errors, label):
         errors.append(f"{label}: {key} is no longer numeric ({fresh!r})")
         return
     # Relative band around the pinned value; small absolute slack so a
-    # pinned zero (e.g. stale_pops on the binary heap) tolerates noise-
-    # level counts without a divide-by-zero special case.
+    # pinned zero (e.g. stale_pops on a small route) tolerates noise-level
+    # counts without a divide-by-zero special case.
     band = max(2.0, tolerance * abs(pinned))
     if abs(fresh - pinned) > band:
         errors.append(

@@ -7,8 +7,8 @@
 # speculative drain and the compile service are the threaded paths),
 # smoke the perf benches at tiny sizes so the hot paths are exercised,
 # not just compiled, and diff the smoke BENCH_JSON counters against the
-# pinned baselines (scripts/bench_guard.py) so queue-traffic regressions
-# fail CI even when every QoR gate still passes.
+# pinned baselines (scripts/bench_guard.py) so queue-traffic and QoR
+# regressions of the maze engine and the flow fail CI.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -25,7 +25,7 @@ SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DMCFPGA_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$SAN_DIR" -j "$(nproc)"
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$(nproc)"
-echo "--- sanitizer bench smoke (engines + both negotiation schedulers) ---"
+echo "--- sanitizer bench smoke (maze expansion + both negotiation schedulers) ---"
 "$SAN_DIR"/bench_routing_delay --smoke > /dev/null
 
 echo "--- sanitizer (TSan) bench smoke ---"
@@ -43,7 +43,7 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" \
 
 echo "--- bench smoke runs ---"
 "$BUILD_DIR"/bench_placer --smoke
-"$BUILD_DIR"/bench_flow_end2end --smoke
+"$BUILD_DIR"/bench_flow_end2end --smoke | tee "$BUILD_DIR"/bench_flow_smoke.log
 "$BUILD_DIR"/bench_routing_delay --smoke | tee "$BUILD_DIR"/bench_routing_smoke.log
 "$BUILD_DIR"/bench_incremental --smoke | tee "$BUILD_DIR"/bench_incremental_smoke.log
 
@@ -57,6 +57,8 @@ echo "--- compile daemon smoke (in-process: repeat hit + cancel + teardown) ---"
 echo "--- bench regression guard ---"
 python3 scripts/bench_guard.py --baseline BENCH_ROUTING.json \
   --log "$BUILD_DIR"/bench_routing_smoke.log
+python3 scripts/bench_guard.py --baseline BENCH_FLOW.json \
+  --log "$BUILD_DIR"/bench_flow_smoke.log
 python3 scripts/bench_guard.py --baseline BENCH_INCREMENTAL.json \
   --log "$BUILD_DIR"/bench_incremental_smoke.log
 python3 scripts/bench_guard.py --baseline BENCH_SERVE.json \

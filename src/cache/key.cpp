@@ -88,13 +88,10 @@ std::uint64_t hash_compile_options(const core::CompileOptions& options) {
       .f64(r.cross_context_pressure_weight)
       .f64(r.pressure_ramp)
       .size(r.interleave_waves)
-      .f64(r.interleave_crit_quantum)
-      // interleave_workers and speculation_window skipped: the speculative
-      // drain commits a pure function of queue order, so routed state is
-      // bit-identical for any worker count or batch window.
-      .u64(static_cast<std::uint64_t>(r.queue_mode))
-      .f64(r.bucket_quantum)
-      .size(r.bucket_span);
+      .f64(r.interleave_crit_quantum);
+  // interleave_workers and speculation_window skipped: the speculative
+  // drain commits a pure function of queue order, so routed state is
+  // bit-identical for any worker count or batch window.
 
   h.f64(options.delay.se_delay)
       .f64(options.delay.lut_delay)

@@ -98,10 +98,10 @@ struct ContextStats {
   /// (route::ContextRouteSummary::cross_context_conflicts — what the
   /// negotiated cross-context scheduler drives down).
   std::size_t cross_context_conflicts = 0;
-  /// Maze-expansion engine traffic of the kept routing pass (see
-  /// route::ContextRouteSummary): queue pushes/pops, lazy-deletion stale
-  /// pops, and nodes actually expanded.  The heap-vs-bucket benches read
-  /// these off BENCH_JSON to confirm reduced queue traffic.
+  /// Calendar-queue traffic of the kept routing pass (see
+  /// route::ContextRouteSummary): queue pushes/pops, stale pops, and
+  /// nodes actually expanded.  The benches emit these as BENCH_JSON and
+  /// scripts/bench_guard.py pins them.
   std::size_t heap_pushes = 0;
   std::size_t heap_pops = 0;
   std::size_t stale_pops = 0;

@@ -598,6 +598,7 @@ FlowContext make_flow_context(const netlist::MultiContextNetlist& netlist,
                  "closure loop needs at least one iteration");
   MCFPGA_REQUIRE(options.closure_slack_tolerance >= 0.0,
                  "closure_slack_tolerance must be non-negative");
+  options.delay.validate();
   return ctx;
 }
 

@@ -5,7 +5,7 @@
 // base costs, history increments, and criticality-scaled delay steps.
 // That is Dial's regime: quantize costs onto an array of buckets of width
 // `quantum`, pop from the lowest non-empty bucket, and each push/pop is
-// O(1) instead of the binary heap's O(log n) compare-and-swap chain over
+// O(1) instead of a binary heap's O(log n) compare-and-swap chain over
 // scattered memory.
 //
 // Exactness: while quantum <= the smallest relaxation increment, every
@@ -13,13 +13,13 @@
 // so all items in the current bucket already carry their final distance
 // and may be popped in any fixed order — the classic Dial argument.  The
 // fixed order here is FIFO (push order), which makes the pop sequence a
-// pure function of the push sequence: bucket-mode routing is deterministic
-// for any worker count.  A quantum larger than the smallest increment
-// degrades gracefully: a push that would land behind the cursor is clamped
-// into the current bucket (never dropped), which can reorder near-equal
-// costs but keeps the expansion terminating and deterministic — and the
-// router's lazy-deletion stale check still discards superseded entries by
-// exact cost.
+// pure function of the push sequence: routing is deterministic for any
+// worker count.  The router derives its quantum from the cost model
+// (route/router_core.hpp, expansion_quantum), so maze expansion always
+// runs inside this exact regime.  A quantum larger than the smallest
+// increment degrades gracefully: a push that would land behind the cursor
+// is clamped into the current bucket (never dropped), which can reorder
+// near-equal costs but keeps the queue terminating and deterministic.
 //
 // Range: the calendar spans `span` buckets from the current base; pushes
 // beyond it go to an overflow list.  When the calendar drains, the queue

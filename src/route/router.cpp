@@ -79,9 +79,6 @@ void RouterOptions::validate() const {
                  "interleave_crit_quantum must lie in (0, 1]");
   MCFPGA_REQUIRE(speculation_window >= 1,
                  "speculative drain needs a window of at least one net");
-  MCFPGA_REQUIRE(bucket_quantum > 0.0, "bucket_quantum must be positive");
-  MCFPGA_REQUIRE(bucket_span >= 2,
-                 "bucket calendar needs at least two buckets");
 }
 
 std::vector<std::size_t> cross_context_conflicts(

@@ -11,7 +11,11 @@
 // The per-context engine lives in route/router_core.hpp (RouterCore, with
 // preallocated scratch over the graph's flat CSR adjacency); Router::route
 // fans contexts out over a small worker pool and merges results in context
-// order, so parallel output is bit-identical to serial.
+// order, so parallel output is bit-identical to serial.  Every maze
+// expansion runs Dial's algorithm on one calendar queue
+// (route/bucket_queue.hpp) whose bucket width is derived from the cost
+// model per pass (expansion_quantum), which keeps the expansion exact
+// Dijkstra under every base cost and SE delay.
 //
 // Contexts are NOT independent in the cost model, though: every physical
 // switch carries one on/off bit per context, and the RCM decoder prices a
@@ -66,19 +70,6 @@ struct RoutedNet {
   std::string name;
   arch::NodeId source = arch::kInvalidNode;
   std::vector<RoutedPath> paths;
-};
-
-/// Priority-queue engine behind the maze expansion (router_core.hpp).
-enum class QueueMode : std::uint8_t {
-  /// std::push_heap/pop_heap with lazy deletion — the historical engine,
-  /// bit-identical to every pre-option release.
-  kBinaryHeap,
-  /// Monotone calendar queue over quantized costs (route/bucket_queue.hpp):
-  /// O(1) push/pop, FIFO within a bucket, deterministic for any worker
-  /// count.  Exact Dijkstra while bucket_quantum stays at or below the
-  /// smallest relaxation increment (0.5 with default base costs); routes
-  /// may differ from the heap's only through equal-cost tie-breaks.
-  kBucket,
 };
 
 /// How the router treats the coupling between contexts.
@@ -180,19 +171,6 @@ struct RouterOptions {
   /// at 16, and every abort re-routes serially — 4 keeps four workers
   /// busy while aborts stay near 30%.
   std::size_t speculation_window = 4;
-  /// Maze-expansion priority queue engine (see QueueMode).
-  QueueMode queue_mode = QueueMode::kBinaryHeap;
-  /// Bucket width of the calendar queue (kBucket only).  Costs quantize to
-  /// floor(cost / quantum); exactness holds while this stays at or below
-  /// the smallest relaxation increment, which is 0.5 with the default base
-  /// costs (pin cost 0.5) and default delays (se_delay 1.0 keeps the
-  /// timing-blended increment >= 0.5 for every criticality).  Lower it
-  /// when custom base costs or sub-0.5 SE delays shrink the increment.
-  double bucket_quantum = 0.5;
-  /// Calendar span in buckets before pushes spill to the overflow list
-  /// (kBucket only).  1024 buckets x 0.5 quantum covers a 512-cost
-  /// horizon per rebase — far beyond one relaxation wave.
-  std::size_t bucket_span = 1024;
 
   /// Member-wise equality: lets engine pools detect that cached per-worker
   /// state was built for the same job shape and reuse it.
@@ -230,11 +208,11 @@ struct ContextRouteSummary {
   /// uses — the raw material of non-constant switch patterns (and of the
   /// cross-context detour pressure the negotiated scheduler relieves).
   std::size_t cross_context_conflicts = 0;
-  /// Maze-expansion engine traffic over the context's whole negotiation
-  /// (every rip-up iteration, net, and sink): queue pushes and pops, pops
-  /// discarded by the lazy-deletion stale check, and nodes whose CSR row
-  /// was actually scanned.  The push/pop mix is the scoreboard the
-  /// binary-heap-vs-bucket benches compare.
+  /// Calendar-queue traffic over the context's whole negotiation (every
+  /// rip-up iteration, net, and sink): queue pushes and pops, pops of
+  /// entries a cheaper re-push superseded (the stale check), and nodes
+  /// whose CSR row was actually scanned.  The historical heap_* names are
+  /// kept because benches and BENCH_JSON baselines read them.
   std::size_t heap_pushes = 0;
   std::size_t heap_pops = 0;
   std::size_t stale_pops = 0;

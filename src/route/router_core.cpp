@@ -78,6 +78,7 @@ RouterCore::RouterCore(const arch::RoutingGraph& graph,
   history_ = arena_->alloc<double>(n);
   node_cost_ = arena_->alloc<double>(n);
   nodes_ = arena_->alloc<NodeState>(n);
+  min_base_cost_ = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     const auto& node = graph_.node(static_cast<NodeId>(i));
     is_wire_[i] = node.kind == NodeKind::kWire ? 1 : 0;
@@ -91,6 +92,7 @@ RouterCore::RouterCore(const arch::RoutingGraph& graph,
     } else {
       base_cost_[i] = 1.0;
     }
+    min_base_cost_ = std::min(min_base_cost_, base_cost_[i]);
   }
   // Zeroed stamps are stale against the pre-incremented epochs (first use
   // is 1); dist/prev/depth are don't-care until stamped.
@@ -104,23 +106,18 @@ RouterCore::RouterCore(const arch::RoutingGraph& graph,
   tree_epoch_ = 0;
 }
 
-void RouterCore::heap_push(double cost, NodeId value) {
-  heap_.push_back(HeapItem{cost, value});
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const HeapItem& a, const HeapItem& b) {
-                   return a.cost > b.cost;
-                 });
+double expansion_quantum(double min_base_cost,
+                         const timing::ContextTimingSpec* timing) {
+  if (timing == nullptr) {
+    return min_base_cost;
+  }
+  MCFPGA_REQUIRE(std::isfinite(timing->se_delay) && timing->se_delay > 0.0,
+                 "timing spec se_delay must be finite and positive");
+  return std::min(min_base_cost, timing->se_delay);
 }
 
-RouterCore::HeapItem RouterCore::heap_pop() {
-  MCFPGA_REQUIRE(!heap_.empty(), "pop from an empty router heap");
-  std::pop_heap(heap_.begin(), heap_.end(),
-                [](const HeapItem& a, const HeapItem& b) {
-                  return a.cost > b.cost;
-                });
-  const HeapItem item = heap_.back();
-  heap_.pop_back();
-  return item;
+void RouterCore::arm_queue(const timing::ContextTimingSpec* timing) {
+  bucket_.configure(expansion_quantum(min_base_cost_, timing), kExpansionSpan);
 }
 
 double RouterCore::dist_of(std::size_t node) const {
@@ -143,9 +140,7 @@ void RouterCore::refresh_node_cost(std::size_t idx) {
   node_cost_[idx] = base_cost_[idx] * congestion;
 }
 
-template <typename Queue>
-bool RouterCore::expand_to_sink(Queue& queue,
-                                const std::vector<arch::NodeId>& tree,
+bool RouterCore::expand_to_sink(const std::vector<arch::NodeId>& tree,
                                 arch::NodeId sink, double cong_scale,
                                 double delay_term, ContextResult& result) {
   const std::vector<std::size_t>& offsets = graph_.csr_offsets();
@@ -153,7 +148,7 @@ bool RouterCore::expand_to_sink(Queue& queue,
   const std::vector<NodeId>& csr_targets = graph_.csr_targets();
 
   ++epoch_;
-  queue.clear();
+  bucket_.clear();
   for (const NodeId t : tree) {
     const std::size_t ti = static_cast<std::size_t>(t);
     NodeState& s = nodes_[ti];
@@ -161,11 +156,11 @@ bool RouterCore::expand_to_sink(Queue& queue,
     s.dist = seed;
     s.prev = -1;
     s.dist_epoch = epoch_;
-    queue.push(seed, t);
+    bucket_.push(seed, t);
     ++result.heap_pushes;
   }
-  while (!queue.empty()) {
-    const auto item = queue.pop();
+  while (!bucket_.empty()) {
+    const auto item = bucket_.pop();
     ++result.heap_pops;
     const std::size_t u = static_cast<std::size_t>(item.value);
     if (item.cost > dist_of(u)) {
@@ -217,7 +212,7 @@ bool RouterCore::expand_to_sink(Queue& queue,
         sv.dist = nd;
         sv.prev = csr_edges[at];
         sv.dist_epoch = epoch_;
-        queue.push(nd, v);
+        bucket_.push(nd, v);
         ++result.heap_pushes;
         // The pushed node's CSR row is its expansion's first load.
         MCFPGA_PREFETCH(&csr_targets[offsets[vi]]);
@@ -290,13 +285,6 @@ RouterCore::ContextResult RouterCore::route_pass(
     tree_epoch_ = 0;
   }
 
-  const bool bucket_mode = options_.queue_mode == QueueMode::kBucket;
-  if (bucket_mode) {
-    bucket_.configure(options_.bucket_quantum, options_.bucket_span);
-    bucket_.clear();
-  }
-  BinaryQueue binary{*this};
-
   // Per-context incremental STA (timing-driven mode only).  The DAG's
   // topology is fixed for the whole negotiation; only switch counts — arc
   // delays — change between iterations, which is exactly the incremental
@@ -318,6 +306,7 @@ RouterCore::ContextResult RouterCore::route_pass(
     sta = &engine.sta;
     crit_.assign(conn_arcs->num_connections(), 0.0);
   }
+  arm_queue(timing_driven ? timing : nullptr);
   // VPR-style exponent ramp: the sharpening applied to criticalities
   // grows across rip-up iterations, so early rounds spread congestion
   // while late rounds chase the critical path hard.
@@ -395,12 +384,7 @@ RouterCore::ContextResult RouterCore::route_pass(
           cong_scale = 1.0 - c;
           delay_term = c * timing->se_delay;
         }
-        const bool found =
-            bucket_mode ? expand_to_sink(bucket_, tree, sink, cong_scale,
-                                         delay_term, result)
-                        : expand_to_sink(binary, tree, sink, cong_scale,
-                                         delay_term, result);
-        if (!found) {
+        if (!expand_to_sink(tree, sink, cong_scale, delay_term, result)) {
           throw FlowError("router: no physical path from " +
                           graph_.node(net.source).name + " to " +
                           graph_.node(sink).name);
@@ -544,10 +528,6 @@ void RouterCore::session_begin(const std::vector<RouteNet>& nets,
     epoch_ = 0;
     tree_epoch_ = 0;
   }
-  if (options_.queue_mode == QueueMode::kBucket) {
-    bucket_.configure(options_.bucket_quantum, options_.bucket_span);
-    bucket_.clear();
-  }
 
   // Rebuild each net's tree-node set (source + every path edge target,
   // deduplicated with a tree-epoch mark) and the occupancy/owner maps the
@@ -623,6 +603,7 @@ void RouterCore::session_begin(const std::vector<RouteNet>& nets,
       session_net_crit_[i] = net_crit;
     }
   }
+  arm_queue(session_timing_);
 }
 
 void RouterCore::session_rip_net(std::size_t i,
@@ -650,8 +631,6 @@ bool RouterCore::session_route_net(std::size_t i,
   MCFPGA_CHECK(session_active_, "session_route_net without session_begin");
   gained_wires.clear();
   const RouteNet& net = (*session_input_)[i];
-  const bool bucket_mode = options_.queue_mode == QueueMode::kBucket;
-  BinaryQueue binary{*this};
 
   RoutedNet fresh;
   fresh.name = net.name;
@@ -671,12 +650,8 @@ bool RouterCore::session_route_net(std::size_t i,
       cong_scale = 1.0 - c;
       delay_term = c * session_timing_->se_delay;
     }
-    const bool found =
-        bucket_mode ? expand_to_sink(bucket_, tree, sink, cong_scale,
-                                     delay_term, session_result_)
-                    : expand_to_sink(binary, tree, sink, cong_scale,
-                                     delay_term, session_result_);
-    if (!found) {
+    if (!expand_to_sink(tree, sink, cong_scale, delay_term,
+                        session_result_)) {
       // Blocked under exclusion (the peer nets hold every remaining
       // corridor).  Nothing was committed; the caller restores the old
       // tree and keeps the baseline routing for this net.
@@ -760,8 +735,7 @@ RouterCore::ContextResult RouterCore::session_finish() {
   return out;
 }
 
-template <typename Queue>
-bool RouterCore::spec_expand_to_sink(Queue& queue, const RouterCore& src,
+bool RouterCore::spec_expand_to_sink(const RouterCore& src,
                                      const std::vector<arch::NodeId>& tree,
                                      arch::NodeId sink, double cong_scale,
                                      double delay_term, SpecResult& out) {
@@ -770,7 +744,7 @@ bool RouterCore::spec_expand_to_sink(Queue& queue, const RouterCore& src,
   const std::vector<NodeId>& csr_targets = graph_.csr_targets();
 
   ++epoch_;
-  queue.clear();
+  bucket_.clear();
   for (const NodeId t : tree) {
     const std::size_t ti = static_cast<std::size_t>(t);
     NodeState& s = nodes_[ti];
@@ -778,11 +752,11 @@ bool RouterCore::spec_expand_to_sink(Queue& queue, const RouterCore& src,
     s.dist = seed;
     s.prev = -1;
     s.dist_epoch = epoch_;
-    queue.push(seed, t);
+    bucket_.push(seed, t);
     ++out.heap_pushes;
   }
-  while (!queue.empty()) {
-    const auto item = queue.pop();
+  while (!bucket_.empty()) {
+    const auto item = bucket_.pop();
     ++out.heap_pops;
     const std::size_t u = static_cast<std::size_t>(item.value);
     if (item.cost > dist_of(u)) {
@@ -838,7 +812,7 @@ bool RouterCore::spec_expand_to_sink(Queue& queue, const RouterCore& src,
         sv.dist = nd;
         sv.prev = csr_edges[at];
         sv.dist_epoch = epoch_;
-        queue.push(nd, v);
+        bucket_.push(nd, v);
         ++out.heap_pushes;
         MCFPGA_PREFETCH(&csr_targets[offsets[vi]]);
       }
@@ -909,12 +883,8 @@ void RouterCore::speculate_route(const RouterCore& session, std::size_t i,
     epoch_ = 0;
     tree_epoch_ = 0;
   }
-  const bool bucket_mode = options_.queue_mode == QueueMode::kBucket;
-  if (bucket_mode) {
-    bucket_.configure(options_.bucket_quantum, options_.bucket_span);
-    bucket_.clear();
-  }
-  BinaryQueue binary{*this};
+  // Price the expansion exactly as the session's own re-route would.
+  arm_queue(session.session_timing_);
 
   const RouteNet& net = (*session.session_input_)[i];
   out.net.name = net.name;
@@ -934,12 +904,8 @@ void RouterCore::speculate_route(const RouterCore& session, std::size_t i,
       cong_scale = 1.0 - c;
       delay_term = c * session.session_timing_->se_delay;
     }
-    const bool found =
-        bucket_mode ? spec_expand_to_sink(bucket_, session, tree, sink,
-                                          cong_scale, delay_term, out)
-                    : spec_expand_to_sink(binary, session, tree, sink,
-                                          cong_scale, delay_term, out);
-    if (!found) {
+    if (!spec_expand_to_sink(session, tree, sink, cong_scale, delay_term,
+                             out)) {
       return;  // out.found stays false; the read-set stays complete
     }
     RoutedPath path;

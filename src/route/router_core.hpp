@@ -23,19 +23,15 @@
 // updates, so the inner loop loads exactly one double per neighbor; CSR
 // rows are software-prefetched one hop ahead.
 //
-// Queue engines (RouterOptions::queue_mode):
-//   kBinaryHeap — std::push_heap/pop_heap with lazy deletion.  The
-//                 default; bit-identical to the historical router.
-//   kBucket     — monotone calendar queue over quantized costs
-//                 (route/bucket_queue.hpp): O(1) push/pop, FIFO within a
-//                 bucket, deterministic for any worker count.  Costs are
-//                 exact Dijkstra distances while bucket_quantum stays at
-//                 or below the smallest relaxation increment; only
-//                 tie-breaking among near-equal costs differs from the
-//                 heap, so routes may differ but each expansion still
-//                 commits a minimum-cost path.
-// Both engines count their traffic (heap pushes/pops, stale pops, nodes
-// expanded) into ContextResult for the bench scoreboard.
+// Queue: every maze expansion runs Dial's algorithm on one monotone
+// calendar queue (route/bucket_queue.hpp) — O(1) push/pop, FIFO within a
+// bucket, so the pop sequence is a pure function of the push sequence and
+// routing is deterministic for any worker count.  The bucket width is not
+// a knob: expansion_quantum derives it per pass from the cost model as the
+// smallest relaxation increment the pass can produce, which keeps every
+// expansion exact Dijkstra (see expansion_quantum for the bound).  The
+// queue's traffic (pushes, pops, stale pops, nodes expanded) lands in
+// ContextResult under the historical heap_* counter names.
 //
 // The engine exposes a resumable per-pass API (route_pass): one call is
 // one full PathFinder negotiation of one context, but a pass can seed
@@ -87,9 +83,10 @@ class RouterCore {
     /// post-hoc re-scan of every net).
     std::size_t wire_nodes_used = 0;
     std::size_t switches_crossed = 0;
-    /// Expansion-engine traffic over the whole pass (every iteration,
-    /// net, and sink): queue pushes and pops, pops discarded by the lazy-
-    /// deletion stale check, and nodes whose CSR row was actually scanned.
+    /// Calendar-queue traffic over the whole pass (every iteration, net,
+    /// and sink): queue pushes and pops, pops of entries a cheaper re-push
+    /// superseded (the stale check), and nodes whose CSR row was actually
+    /// scanned.
     std::size_t heap_pushes = 0;
     std::size_t heap_pops = 0;
     std::size_t stale_pops = 0;
@@ -104,6 +101,9 @@ class RouterCore {
 
   const arch::RoutingGraph& graph() const { return graph_; }
   const RouterOptions& options() const { return options_; }
+  /// Smallest per-node base cost over the graph (the congestion-free price
+  /// of entering the cheapest node) — expansion_quantum's first input.
+  double min_base_cost() const { return min_base_cost_; }
 
   /// One negotiation pass over one context's nets — a full PathFinder
   /// rip-up/re-route loop.  Throws FlowError when a net has no physical
@@ -297,11 +297,6 @@ class RouterCore {
   }
 
  private:
-  struct HeapItem {
-    double cost;
-    arch::NodeId value;
-  };
-
   /// Packed per-node expansion record: everything one relaxation reads or
   /// writes about a node, on one cache line (24 bytes).  Epoch stamps make
   /// per-expansion resets O(touched); `depth` is the switch count from the
@@ -313,16 +308,6 @@ class RouterCore {
     std::uint32_t dist_epoch;
     std::uint32_t tree_epoch;
     std::uint32_t depth;
-  };
-
-  /// Binary-heap engine behind the same push/pop interface the bucket
-  /// queue exposes, so the expansion template serves both.
-  struct BinaryQueue {
-    RouterCore& core;
-    void clear() { core.heap_.clear(); }
-    bool empty() const { return core.heap_.empty(); }
-    void push(double cost, arch::NodeId value) { core.heap_push(cost, value); }
-    HeapItem pop() { return core.heap_pop(); }
   };
 
   /// Cached levelized timing engine of one spec.  Keyed by the spec's
@@ -338,8 +323,9 @@ class RouterCore {
         : spec(&s), signature(sig), arcs(s), sta(s.num_nodes, arcs.arcs()) {}
   };
 
-  void heap_push(double cost, arch::NodeId value);
-  HeapItem heap_pop();
+  /// Sizes the calendar for one pass priced under `timing` (null = timing
+  /// off): bucket width from expansion_quantum.
+  void arm_queue(const timing::ContextTimingSpec* timing);
 
   /// Distance of `node` in the current Dijkstra epoch (infinity if
   /// untouched).
@@ -350,11 +336,10 @@ class RouterCore {
   /// loop used to evaluate inline, so caching is bit-neutral.
   void refresh_node_cost(std::size_t idx);
 
-  /// Seeds the route tree into `queue` and expands until `sink` pops.
+  /// Seeds the route tree into the calendar and expands until `sink` pops.
   /// Returns false when the sink is unreachable.  Counter traffic lands in
   /// `result`.
-  template <typename Queue>
-  bool expand_to_sink(Queue& queue, const std::vector<arch::NodeId>& tree,
+  bool expand_to_sink(const std::vector<arch::NodeId>& tree,
                       arch::NodeId sink, double cong_scale, double delay_term,
                       ContextResult& result);
 
@@ -362,8 +347,7 @@ class RouterCore {
   /// and pop order, but occupancy/cost come from `src` through the
   /// virtual-rip overlay, every read is recorded into `out`, and counters
   /// land in `out` instead of a ContextResult.
-  template <typename Queue>
-  bool spec_expand_to_sink(Queue& queue, const RouterCore& src,
+  bool spec_expand_to_sink(const RouterCore& src,
                            const std::vector<arch::NodeId>& tree,
                            arch::NodeId sink, double cong_scale,
                            double delay_term, SpecResult& out);
@@ -384,6 +368,7 @@ class RouterCore {
 
   // Graph-shaped constants, precomputed once.
   double* base_cost_ = nullptr;  ///< Per-node occupancy cost.
+  double min_base_cost_ = 0.0;   ///< Minimum of base_cost_.
   std::uint8_t* is_wire_ = nullptr;
 
   // Negotiation state, reset per pass.
@@ -411,7 +396,6 @@ class RouterCore {
   /// context occupies.  False (all non-session passes) is a no-op.
   bool session_exclusive_ = false;
 
-  std::vector<HeapItem> heap_;
   BucketQueue bucket_;
 
   // Timing caches (see TimingEngine) plus the per-pass criticality buffer.
@@ -483,6 +467,26 @@ class CorePool {
   };
   std::vector<Slot> slots_;
 };
+
+/// Calendar span of the maze expansion, in buckets.  At the default 0.5
+/// quantum this covers a 512-cost horizon per rebase — far beyond one
+/// relaxation wave; costlier pushes take the overflow list.
+inline constexpr std::size_t kExpansionSpan = 1024;
+
+/// Bucket width that keeps one maze-expansion pass exact Dijkstra: the
+/// smallest relaxation increment the pass's cost model can produce.
+/// Every relaxation adds (1 - c) * base * congestion + c * se_delay with
+/// congestion >= 1 (history, occupancy and pressure only add) and the
+/// criticality c in [0, max_criticality]; that is at least a convex
+/// combination of base and se_delay, so it is bounded below by
+///   min_base_cost                      with timing off (c = 0), and
+///   min(min_base_cost, se_delay)       with timing on.
+/// A quantum at or below every increment sends each relaxation into a
+/// strictly later bucket — Dial's exactness condition.  `timing` is the
+/// pass's spec when timing-driven pricing is active, else null; throws
+/// InvalidArgument when its se_delay is not finite and positive.
+double expansion_quantum(double min_base_cost,
+                         const timing::ContextTimingSpec* timing);
 
 /// Deterministic merge of per-context results into one RouteResult:
 /// switch patterns, summaries (including cross_context_conflicts and the

@@ -218,10 +218,7 @@ std::string encode_request(const CompileRequest& request) {
   const core::CompileOptions& o = request.options;
   os << "options " << o.seed << ' ' << o.closure_iterations << ' '
      << (o.auto_size ? 1 : 0) << ' ' << (o.placer.timing_mode ? 1 : 0)
-     << ' ' << (o.router.timing_mode ? 1 : 0) << ' '
-     << (o.router.queue_mode == route::QueueMode::kBucket ? "bucket"
-                                                          : "binary")
-     << ' ';
+     << ' ' << (o.router.timing_mode ? 1 : 0) << ' ';
   switch (o.router.cross_context_mode) {
     case route::CrossContextMode::kOff:
       os << "off";
@@ -299,11 +296,11 @@ CompileRequest decode_request(const std::string& payload) {
       r.fail("expected 'options', got '" + k + "'");
     }
     std::istringstream os(rest);
-    std::string seed, closure, auto_size, ptiming, rtiming, queue, ccm,
-        pthreads, rthreads;
-    if (!(os >> seed >> closure >> auto_size >> ptiming >> rtiming >>
-          queue >> ccm >> pthreads >> rthreads)) {
-      r.fail("options line needs 9 fields");
+    std::string seed, closure, auto_size, ptiming, rtiming, ccm, pthreads,
+        rthreads;
+    if (!(os >> seed >> closure >> auto_size >> ptiming >> rtiming >> ccm >>
+          pthreads >> rthreads)) {
+      r.fail("options line needs 8 fields");
     }
     std::string extra;
     if (os >> extra) {
@@ -330,13 +327,6 @@ CompileRequest decode_request(const std::string& payload) {
     o.auto_size = flag(auto_size, "auto-size");
     o.placer.timing_mode = flag(ptiming, "placer timing");
     o.router.timing_mode = flag(rtiming, "router timing");
-    if (queue == "binary") {
-      o.router.queue_mode = route::QueueMode::kBinaryHeap;
-    } else if (queue == "bucket") {
-      o.router.queue_mode = route::QueueMode::kBucket;
-    } else {
-      r.fail("invalid queue mode '" + queue + "'");
-    }
     if (ccm == "off") {
       o.router.cross_context_mode = route::CrossContextMode::kOff;
     } else if (ccm == "negotiated") {

@@ -3,7 +3,7 @@
 // Every message is one length-prefixed binary frame:
 //
 //   offset 0  4 bytes   magic "MCFS"
-//   offset 4  1 byte    protocol version (1)
+//   offset 4  1 byte    protocol version (2)
 //   offset 5  1 byte    frame type (FrameType)
 //   offset 6  4 bytes   payload length, unsigned little-endian
 //   offset 10 N bytes   payload
@@ -25,13 +25,13 @@
 //   options <seed> <closure>       delta <0|1>
 //           <auto_size> <ptiming>  fallback_bytes <n>
 //           <rtiming>              <n bytes>
-//           <binary|bucket>        critical_path <double>
-//           <off|negotiated|       bitstream_bytes <n>
-//            interleaved>          <n bytes>
-//           <pthreads> <rthreads>  end
-//   netlist_bytes <n>
-//   <n bytes>                      mcfpga-progress v1
-//   end                            job <name>
+//           <off|negotiated|       critical_path <double>
+//            interleaved>          bitstream_bytes <n>
+//           <pthreads> <rthreads>  <n bytes>
+//   netlist_bytes <n>              end
+//   <n bytes>
+//   end                            mcfpga-progress v1
+//                                  job <name>
 //                                  stage <name>
 //                                  seconds <double>
 //                                  end
@@ -41,7 +41,8 @@
 // payload line number — the same hardening the canonical text formats got.
 // The options line carries the serving subset of core::CompileOptions
 // (the knobs the determinism contract is tested over); fields not on the
-// wire keep their defaults on the daemon side.
+// wire keep their defaults on the daemon side.  Version 1 frames, whose
+// options line carried a queue-engine token, are rejected at the header.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +56,7 @@
 namespace mcfpga::serve {
 
 inline constexpr char kFrameMagic[4] = {'M', 'C', 'F', 'S'};
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 10;
 
 enum class FrameType : std::uint8_t {

@@ -1,9 +1,18 @@
 #include "sim/delay_model.hpp"
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "timing/timing_graph.hpp"
 
 namespace mcfpga::sim {
+
+void DelayParams::validate() const {
+  MCFPGA_REQUIRE(std::isfinite(se_delay) && se_delay > 0.0,
+                 "se_delay must be finite and positive");
+  MCFPGA_REQUIRE(std::isfinite(lut_delay) && lut_delay >= 0.0,
+                 "lut_delay must be finite and non-negative");
+}
 
 TimingReport analyze_timing(std::size_t num_nodes,
                             const std::vector<TimingArc>& arcs,

@@ -18,6 +18,12 @@ namespace mcfpga::sim {
 struct DelayParams {
   double se_delay = 1.0;   ///< One pass-gate crossing.
   double lut_delay = 2.0;  ///< One logic-block evaluation.
+
+  /// Throws InvalidArgument unless se_delay is finite and > 0 and
+  /// lut_delay is finite and >= 0.  A non-positive SE delay would make the
+  /// timing-driven router's relaxation increments non-positive, breaking
+  /// the maze expansion's Dijkstra assumption.  Called at compile entry.
+  void validate() const;
 };
 
 /// One source->sink connection in the timing DAG.  Node ids are arbitrary

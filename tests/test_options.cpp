@@ -1,12 +1,17 @@
-// Entry validation of RouterOptions / PlacerOptions: bad knob values used
-// to fail silently (or loop forever); now they raise InvalidArgument at
-// the API boundary.
+// Entry validation of RouterOptions / PlacerOptions / sim::DelayParams:
+// bad knob values used to fail silently (or loop forever); now they raise
+// InvalidArgument at the API boundary.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "arch/routing_graph.hpp"
 #include "common/error.hpp"
+#include "core/flow.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
+#include "sim/delay_model.hpp"
+#include "workload/circuits.hpp"
 
 namespace mcfpga {
 namespace {
@@ -93,23 +98,11 @@ TEST(RouterOptionsValidation, RejectsBadInterleaveKnobs) {
   EXPECT_NO_THROW(o.validate());
 }
 
-TEST(RouterOptionsValidation, RejectsBadEngineAndPressureKnobs) {
+TEST(RouterOptionsValidation, RejectsNegativePressureRamp) {
   route::RouterOptions o;
   o.pressure_ramp = -0.1;  // pressure may only grow round over round
   EXPECT_THROW(o.validate(), InvalidArgument);
   o = {};
-  o.bucket_quantum = 0.0;  // calendar buckets need positive width
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.bucket_quantum = -0.25;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.bucket_span = 1;  // a one-bucket calendar cannot order anything
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.queue_mode = route::QueueMode::kBucket;
-  o.bucket_quantum = 0.125;
-  o.bucket_span = 64;
   o.pressure_ramp = 0.5;
   EXPECT_NO_THROW(o.validate());
 }
@@ -119,6 +112,38 @@ TEST(RouterOptionsValidation, RouterConstructorValidates) {
   route::RouterOptions o;
   o.max_iterations = 0;
   EXPECT_THROW(route::Router(graph, o), InvalidArgument);
+}
+
+TEST(DelayParamsValidation, RejectsNonPositiveOrNonFiniteDelays) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(sim::DelayParams{}.validate());
+  // A zero or negative SE delay makes timing-driven relaxation increments
+  // non-positive — no longer a Dijkstra expansion.
+  for (const double se : {0.0, -1.0, kNaN, kInf}) {
+    EXPECT_THROW((sim::DelayParams{se, 2.0}.validate()), InvalidArgument)
+        << "se_delay " << se;
+  }
+  for (const double lut : {-0.5, kNaN, kInf}) {
+    EXPECT_THROW((sim::DelayParams{1.0, lut}.validate()), InvalidArgument)
+        << "lut_delay " << lut;
+  }
+  EXPECT_NO_THROW((sim::DelayParams{0.25, 0.0}.validate()));
+}
+
+TEST(DelayParamsValidation, CompileValidatesAtEntry) {
+  const auto nl = workload::pipeline_workload(4, 2);
+  const arch::FabricSpec spec = tiny_spec();
+  core::CompileOptions o;
+  o.router.timing_mode = true;
+  EXPECT_NO_THROW(core::compile(nl, spec, o));  // only the delays are bad
+  o.delay.se_delay = 0.0;
+  EXPECT_THROW(core::compile(nl, spec, o), InvalidArgument);
+  o.delay.se_delay = -1.0;
+  EXPECT_THROW(core::compile(nl, spec, o), InvalidArgument);
+  o.delay = {};
+  o.delay.lut_delay = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(core::compile(nl, spec, o), InvalidArgument);
 }
 
 TEST(PlacerOptionsValidation, DefaultsAreValid) {

@@ -1,21 +1,24 @@
-// Tests for the bucket-queue maze-expansion engine
-// (RouterOptions::queue_mode + route/bucket_queue.hpp): the calendar
+// Tests for the router's maze-expansion engine (route/bucket_queue.hpp,
+// Dial's algorithm with a cost-model-derived quantum): the calendar
 // queue's quantization mechanics (zero-cost seeds, FIFO ties, the
 // overflow bucket and its FIFO-preserving rebase, the monotone clamp),
-// bucket-mode routing determinism fuzzed across worker counts, the
-// never-worse QoR contract against the binary heap with timing off and
-// on, and kBinaryHeap's identity with the pre-option default engine.
+// the derived quantum, routing determinism fuzzed across worker counts
+// and pooled vs pool-free engines, and QoR pinned with timing off and on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "arch/routing_graph.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "config/serialize.hpp"
 #include "core/flow.hpp"
+#include "core/mcfpga.hpp"
+#include "core/stages.hpp"
 #include "route/bucket_queue.hpp"
 #include "route/router.hpp"
 #include "route/router_core.hpp"
@@ -214,7 +217,6 @@ TEST(BucketEngine, DeterministicAcrossWorkerCounts) {
   for (const std::uint64_t seed : kFuzzSeeds) {
     const auto nets = random_route_problem(g, 18, seed);
     RouterOptions opts;
-    opts.queue_mode = QueueMode::kBucket;
     opts.num_threads = 1;
     const RouteResult reference = Router(g, opts).route(nets);
     ASSERT_TRUE(reference.success) << "seed " << seed;
@@ -236,81 +238,148 @@ TEST(BucketEngine, DeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(BucketEngine, NeverWorseQoRUntimed) {
-  // Lexicographic QoR (worst critical switches, then wirelength) over the
-  // fuzz seeds: the bucket engine may tie-break differently but must not
-  // finish worse.  Deterministic, so a regression here is a real one.
+// --- Derived quantum --------------------------------------------------------
+
+TEST(ExpansionQuantum, DefaultCostsGiveHalfTimingOnOrOff) {
   const arch::RoutingGraph g(small_spec());
-  for (const std::uint64_t seed : kFuzzSeeds) {
-    const auto nets = random_route_problem(g, 18, seed);
-    RouterOptions opts;
-    const RouteResult binary = Router(g, opts).route(nets);
-    opts.queue_mode = QueueMode::kBucket;
-    const RouteResult bucket = Router(g, opts).route(nets);
-    ASSERT_TRUE(binary.success) << "seed " << seed;
-    ASSERT_TRUE(bucket.success) << "seed " << seed;
-    const std::size_t ws_bin = worst_critical_switches(binary);
-    const std::size_t ws_buk = worst_critical_switches(bucket);
-    EXPECT_TRUE(ws_buk < ws_bin ||
-                (ws_buk == ws_bin &&
-                 total_wirelength(bucket) <= total_wirelength(binary)))
-        << "seed " << seed << ": bucket (" << ws_buk << ", "
-        << total_wirelength(bucket) << ") vs binary (" << ws_bin << ", "
-        << total_wirelength(binary) << ")";
+  const RouterCore core(g, RouterOptions{});
+  EXPECT_EQ(core.min_base_cost(), 0.5);  // pins and pads
+  EXPECT_EQ(expansion_quantum(core.min_base_cost(), nullptr), 0.5);
+  timing::ContextTimingSpec spec;  // default se_delay 1.0
+  EXPECT_EQ(expansion_quantum(core.min_base_cost(), &spec), 0.5);
+}
+
+TEST(ExpansionQuantum, SubHalfSeDelayBoundsTheQuantum) {
+  const arch::RoutingGraph g(small_spec());
+  const RouterCore core(g, RouterOptions{});
+  timing::ContextTimingSpec spec;
+  spec.se_delay = 0.25;
+  EXPECT_EQ(expansion_quantum(core.min_base_cost(), &spec), 0.25);
+}
+
+TEST(ExpansionQuantum, SmallestBaseCostWithoutDoubleLengthPreference) {
+  const arch::RoutingGraph g(small_spec());
+  RouterOptions opts;
+  opts.prefer_double_length = false;  // double-length wires priced at 3.5
+  const RouterCore core(g, opts);
+  EXPECT_EQ(core.min_base_cost(), 0.5);
+  EXPECT_EQ(expansion_quantum(core.min_base_cost(), nullptr),
+            core.min_base_cost());
+  timing::ContextTimingSpec spec;
+  spec.se_delay = 2.0;  // above every base cost: the base cost binds
+  EXPECT_EQ(expansion_quantum(core.min_base_cost(), &spec),
+            core.min_base_cost());
+  // The bound is min(base, se_delay) whichever side is smaller.
+  EXPECT_EQ(expansion_quantum(3.5, nullptr), 3.5);
+  EXPECT_EQ(expansion_quantum(3.5, &spec), 2.0);
+}
+
+TEST(ExpansionQuantum, RejectsNonPositiveSeDelay) {
+  timing::ContextTimingSpec spec;
+  for (const double se : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    spec.se_delay = se;
+    EXPECT_THROW(expansion_quantum(0.5, &spec), InvalidArgument)
+        << "se_delay " << se;
   }
 }
 
-TEST(BucketEngine, NeverWorseQoRTimedFlow) {
-  // Same contract through the timing-driven compile flow: worst context
-  // critical path first, then wirelength.
-  const auto worst_path = [](const core::CompiledDesign& d) {
-    double worst = 0.0;
-    for (const auto& s : d.context_stats) {
-      worst = std::max(worst, s.critical_path);
-    }
-    return worst;
+// --- Pinned QoR and determinism ---------------------------------------------
+
+TEST(BucketEngine, PinnedQoRUntimed) {
+  // Worst critical switches and total wirelength per fuzz seed.
+  // Deterministic, so any drift is an algorithmic change: a regression
+  // fails here, an improvement must be re-pinned.
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t worst_switches;
+    std::size_t wirelength;
   };
-  const auto wirelength = [](const core::CompiledDesign& d) {
-    std::size_t total = 0;
-    for (const auto& s : d.context_stats) {
-      total += s.wire_nodes_used;
-    }
-    return total;
+  constexpr Pin kPins[] = {
+      {11, 4, 248},   {42, 5, 298},   {97, 5, 281},
+      {1234, 4, 284}, {5150, 4, 284}, {90210, 5, 298},
   };
-  for (const std::size_t stages : {std::size_t{6}, std::size_t{8}}) {
-    const auto nl = workload::pipeline_workload(4, stages);
+  const arch::RoutingGraph g(small_spec());
+  for (const Pin& pin : kPins) {
+    const auto nets = random_route_problem(g, 18, pin.seed);
+    const RouteResult r = Router(g, {}).route(nets);
+    ASSERT_TRUE(r.success) << "seed " << pin.seed;
+    EXPECT_EQ(worst_critical_switches(r), pin.worst_switches)
+        << "seed " << pin.seed;
+    EXPECT_EQ(total_wirelength(r), pin.wirelength) << "seed " << pin.seed;
+  }
+}
+
+TEST(BucketEngine, PinnedQoRTimedFlow) {
+  // Same pinning through the timing-driven compile flow: worst context
+  // critical path and total wirelength.
+  struct Pin {
+    std::size_t stages;
+    double worst_path;
+    std::size_t wirelength;
+  };
+  constexpr Pin kPins[] = {{6, 27.0, 191}, {8, 35.0, 260}};
+  for (const Pin& pin : kPins) {
+    const auto nl = workload::pipeline_workload(4, pin.stages);
     core::CompileOptions opts;
     opts.placer.timing_mode = true;
     opts.router.timing_mode = true;
-    const auto binary = core::compile(nl, small_spec(), opts);
-    opts.router.queue_mode = QueueMode::kBucket;
-    const auto bucket = core::compile(nl, small_spec(), opts);
-    EXPECT_TRUE(worst_path(bucket) < worst_path(binary) ||
-                (worst_path(bucket) == worst_path(binary) &&
-                 wirelength(bucket) <= wirelength(binary)))
-        << "pipeline(4," << stages << "): bucket (" << worst_path(bucket)
-        << ", " << wirelength(bucket) << ") vs binary ("
-        << worst_path(binary) << ", " << wirelength(binary) << ")";
+    const auto d = core::compile(nl, small_spec(), opts);
+    double worst = 0.0;
+    std::size_t wirelength = 0;
+    for (const auto& st : d.context_stats) {
+      worst = std::max(worst, st.critical_path);
+      wirelength += st.wire_nodes_used;
+    }
+    EXPECT_EQ(worst, pin.worst_path) << "pipeline(4," << pin.stages << ")";
+    EXPECT_EQ(wirelength, pin.wirelength)
+        << "pipeline(4," << pin.stages << ")";
   }
 }
 
-TEST(BucketEngine, BinaryHeapModeMatchesDefault) {
-  // kBinaryHeap is the default and must be the pre-option engine:
-  // spelling it explicitly, or routing through an external CorePool,
-  // changes nothing.
+TEST(BucketEngine, PooledMatchesPoolFree) {
+  // Routing through an external CorePool — cold, then warm (second route
+  // over the same cores) — changes nothing.
   const arch::RoutingGraph g(small_spec());
   const auto nets = random_route_problem(g, 18, 7);
-  const RouteResult implicit = Router(g, {}).route(nets);
-  RouterOptions opts;
-  opts.queue_mode = QueueMode::kBinaryHeap;
-  const Router router(g, opts);
-  expect_same_routing(implicit, router.route(nets));
+  const Router router(g, {});
+  const RouteResult pool_free = router.route(nets);
   CorePool pool;
-  expect_same_routing(implicit,
+  expect_same_routing(pool_free,
                       router.route(nets, nullptr, nullptr, nullptr, &pool));
-  // A warm pool (second route over the same cores) stays identical too.
-  expect_same_routing(implicit,
+  expect_same_routing(pool_free,
                       router.route(nets, nullptr, nullptr, nullptr, &pool));
+}
+
+TEST(BucketEngine, SubHalfSeDelayTimedCompileVerifiesAndIsDeterministic) {
+  // se_delay 0.25 drops the derived quantum below the default 0.5 (a fixed
+  // 0.5 width would reorder near-equal costs).  The compile must program a
+  // fabric that computes the netlist, identically for every router worker
+  // count and for pooled vs pool-free engines.
+  const auto nl = workload::pipeline_workload(4, 6);
+  core::CompileOptions opts;
+  opts.placer.timing_mode = true;
+  opts.router.timing_mode = true;
+  opts.delay.se_delay = 0.25;
+  opts.router.num_threads = 1;
+  const core::MCFPGA serial(nl, small_spec(), opts);
+  EXPECT_EQ(serial.verify(16, 3), 0u);
+  opts.router.num_threads = 4;
+  const core::MCFPGA parallel(nl, small_spec(), opts);
+  expect_same_routing(serial.design().routing, parallel.design().routing);
+  EXPECT_EQ(config::to_text(serial.design().full_bitstream),
+            config::to_text(parallel.design().full_bitstream));
+
+  // The flow routes through a pooled engine; re-route the same nets and
+  // specs pool-free.
+  core::FlowContext ctx = core::make_flow_context(nl, small_spec(), opts);
+  core::run_pipeline(ctx, core::default_pipeline());
+  ASSERT_NE(ctx.router_pool, nullptr);
+  const RouteResult pool_free =
+      Router(*ctx.graph, opts.router).route(ctx.nets_per_context,
+                                            &ctx.timing_specs);
+  expect_same_routing(ctx.routing, pool_free);
+  expect_same_routing(serial.design().routing, pool_free);
 }
 
 // --- CalendarQueue fuzz: span boundaries, rebase cycles, FIFO --------------

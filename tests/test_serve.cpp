@@ -191,7 +191,6 @@ CompileRequest sample_request() {
   options.seed = 42;
   options.placer.timing_mode = true;
   options.router.timing_mode = true;
-  options.router.queue_mode = route::QueueMode::kBucket;
   options.router.cross_context_mode = route::CrossContextMode::kNegotiated;
   options.placer.num_threads = 3;
   options.router.num_threads = 2;
@@ -220,8 +219,6 @@ TEST(ServeProtocol, RequestRoundTrip) {
             request.options.placer.timing_mode);
   EXPECT_EQ(back.options.router.timing_mode,
             request.options.router.timing_mode);
-  EXPECT_EQ(back.options.router.queue_mode,
-            request.options.router.queue_mode);
   EXPECT_EQ(back.options.router.cross_context_mode,
             request.options.router.cross_context_mode);
   EXPECT_EQ(back.options.placer.num_threads,
@@ -283,6 +280,20 @@ TEST(ServeProtocol, FrameRejectsCorruption) {
     EXPECT_THROW(frame_from_bytes(bad), InvalidArgument);
   }
   {
+    // A version-1 frame (options line with a queue-engine token) gets the
+    // typed version error, not a confusing options-line parse failure.
+    std::string old = good;
+    old[4] = 1;
+    try {
+      frame_from_bytes(old);
+      FAIL() << "accepted a version-1 frame";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported protocol version 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
     std::string bad = good;
     bad[5] = 7;  // frame type
     EXPECT_THROW(frame_from_bytes(bad), InvalidArgument);
@@ -321,7 +332,9 @@ TEST(ServeProtocol, StrictNumericRejection) {
   expect_request_rejected("fabric 4 4", "fabric 4x 4", "line 5");
   expect_request_rejected("fabric 4 4", "fabric 0 4", "line 5");
   expect_request_rejected("options 42", "options -42", "line 6");
-  expect_request_rejected("bucket", "fifo", "line 6");
+  // The version-1 options line carried a queue token; it is one field too
+  // many now.
+  expect_request_rejected(" negotiated", " bucket negotiated", "line 6");
   expect_request_rejected("negotiated", "sideways", "line 6");
   expect_request_rejected("mcfpga-request v1", "mcfpga-request v2", "line 1");
 }
