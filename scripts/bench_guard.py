@@ -7,8 +7,10 @@ BENCH_FLOW.json, BENCH_INCREMENTAL.json, BENCH_SERVE.json).  The
 interesting counters — maze expansions, queue pushes, negotiation
 rounds/waves, conflicts, delta-path hits — are deterministic for the
 pinned seeds, so a drift outside the tolerance band means an
-algorithmic change, not machine noise.  Wall-clock keys
-(and wall-derived speedups) are never compared.
+algorithmic change, not machine noise.  Each out-of-band message says
+whether the fresh value is above or below the pin and by how much (a
+percentage of the pin; an absolute difference for a pinned zero).
+Wall-clock keys (and wall-derived speedups) are never compared.
 
 Usage:
   bench_guard.py --baseline BENCH_ROUTING.json --log smoke.log [--tolerance X]
@@ -75,9 +77,16 @@ def compare_value(key, pinned, fresh, tolerance, errors, label):
     # counts without a divide-by-zero special case.
     band = max(2.0, tolerance * abs(pinned))
     if abs(fresh - pinned) > band:
+        # Say which way the counter moved so a deliberate work cut reads
+        # differently from a regression when re-pinning.
+        direction = "above" if fresh > pinned else "below"
+        if pinned:
+            drift = f"{abs(fresh - pinned) / abs(pinned):.1%}"
+        else:
+            drift = f"{abs(fresh - pinned):g}"
         errors.append(
-            f"{label}: {key} {fresh} outside {pinned} +/- {band:g} "
-            f"(tolerance {tolerance:.0%})")
+            f"{label}: {key} {fresh} is {drift} {direction} pin {pinned} "
+            f"(band +/- {band:g}, tolerance {tolerance:.0%})")
 
 
 def main():

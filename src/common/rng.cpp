@@ -5,10 +5,6 @@
 namespace mcfpga {
 
 namespace {
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // splitmix64 expands the single seed word into the xoshiro state.
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
@@ -30,50 +26,11 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  MCFPGA_REQUIRE(bound > 0, "next_below bound must be positive");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
-}
-
 std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
   MCFPGA_REQUIRE(lo <= hi, "next_in requires lo <= hi");
   const std::uint64_t span =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Rng::next_double() {
-  // 53 top bits -> [0,1) with full double precision.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return next_double() < p;
 }
 
 }  // namespace mcfpga

@@ -4,9 +4,15 @@
 // Each context is routed independently — a physical wire can carry a
 // different signal in every context, which is exactly what gives the
 // per-switch context patterns their structure.  Within a context the
-// classic PathFinder loop applies: rip-up and reroute every net with
-// node costs inflated by present congestion and accumulated history until
-// no wire is shared.
+// classic PathFinder loop applies, with node costs inflated by present
+// congestion and accumulated history until no wire is shared: iteration
+// 0 routes every net, and each later iteration rips up and re-routes only
+// the nets whose tree touches an overused node at the start of their turn
+// (VPR's rule).  A net is kept only while its tree shares no node, so
+// overuse can only arise where a re-routed net lands, and the next
+// iteration re-routes every net on an overused node under the rising
+// present and history costs that drive negotiation to convergence.
+// Congestion-free nets cost no maze expansions after iteration 0.
 //
 // The per-context engine lives in route/router_core.hpp (RouterCore, with
 // preallocated scratch over the graph's flat CSR adjacency); Router::route
@@ -209,10 +215,11 @@ struct ContextRouteSummary {
   /// cross-context detour pressure the negotiated scheduler relieves).
   std::size_t cross_context_conflicts = 0;
   /// Calendar-queue traffic over the context's whole negotiation (every
-  /// rip-up iteration, net, and sink): queue pushes and pops, pops of
-  /// entries a cheaper re-push superseded (the stale check), and nodes
-  /// whose CSR row was actually scanned.  The historical heap_* names are
-  /// kept because benches and BENCH_JSON baselines read them.
+  /// rip-up iteration, re-routed net, and sink; nets kept across a later
+  /// iteration add none): queue pushes and pops, pops of entries a cheaper
+  /// re-push superseded (the stale check), and nodes whose CSR row was
+  /// actually scanned.  The historical heap_* names are kept because
+  /// benches and BENCH_JSON baselines read them.
   std::size_t heap_pushes = 0;
   std::size_t heap_pops = 0;
   std::size_t stale_pops = 0;

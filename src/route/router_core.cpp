@@ -355,6 +355,18 @@ RouterCore::ContextResult RouterCore::route_pass(
     for (std::size_t i = 0; i < nets.size(); ++i) {
       const RouteNet& net = nets[i];
       if (!tree_nodes[i].empty()) {
+        // Rip-up iterations after the first re-route only nets whose tree
+        // touches an overused node at the start of their turn.  A kept
+        // tree shares no node, so overuse only arises where a re-routed
+        // net lands, and every net on it is re-routed next iteration.
+        const bool congested =
+            std::any_of(tree_nodes[i].begin(), tree_nodes[i].end(),
+                        [&](NodeId n) {
+                          return occupancy_[static_cast<std::size_t>(n)] > 1;
+                        });
+        if (!congested) {
+          continue;
+        }
         unroute(i);
       }
       result.nets[i].name = net.name;

@@ -83,10 +83,10 @@ class RouterCore {
     /// post-hoc re-scan of every net).
     std::size_t wire_nodes_used = 0;
     std::size_t switches_crossed = 0;
-    /// Calendar-queue traffic over the whole pass (every iteration, net,
-    /// and sink): queue pushes and pops, pops of entries a cheaper re-push
-    /// superseded (the stale check), and nodes whose CSR row was actually
-    /// scanned.
+    /// Calendar-queue traffic over the whole pass (every iteration,
+    /// re-routed net, and sink): queue pushes and pops, pops of entries a
+    /// cheaper re-push superseded (the stale check), and nodes whose CSR
+    /// row was actually scanned.
     std::size_t heap_pushes = 0;
     std::size_t heap_pops = 0;
     std::size_t stale_pops = 0;
@@ -106,11 +106,12 @@ class RouterCore {
   double min_base_cost() const { return min_base_cost_; }
 
   /// One negotiation pass over one context's nets — a full PathFinder
-  /// rip-up/re-route loop.  Throws FlowError when a net has no physical
-  /// path at all; returns converged=false when congestion cannot be
-  /// negotiated away within options.max_iterations.  `timing` (may be
-  /// null) enables the criticality-driven cost when options.timing_mode is
-  /// set; its nets/sinks must parallel `nets`.
+  /// rip-up/re-route loop (every net in iteration 0, then only the nets
+  /// whose tree touches an overused node).  Throws FlowError when a net
+  /// has no physical path at all; returns converged=false when congestion
+  /// cannot be negotiated away within options.max_iterations.  `timing`
+  /// (may be null) enables the criticality-driven cost when
+  /// options.timing_mode is set; its nets/sinks must parallel `nets`.
   ///
   /// `history` (may be null) carries PathFinder history costs across
   /// passes: when its size matches the graph's node count the negotiation

@@ -160,6 +160,29 @@ TEST(Rng, NextBelowBounds) {
   EXPECT_THROW(rng.next_below(0), InvalidArgument);
 }
 
+// Workload synthesis and placement replay from a seed, so the draw
+// sequence itself is pinned: a change to the generator, the rejection
+// threshold or the 53-bit double mapping fails here first.
+TEST(Rng, PinnedDrawSequence) {
+  Rng rng(2024);
+  EXPECT_EQ(rng.next_below(1000), 518u);
+  EXPECT_EQ(rng.next_below(1000), 693u);
+  EXPECT_EQ(rng.next_below(1000), 441u);
+  EXPECT_EQ(rng.next_below(1000), 811u);
+  EXPECT_EQ(rng.next_double(), 0x1.8c1be764c2cc1p-1);
+  EXPECT_EQ(rng.next_double(), 0x1.f57f8431e67a8p-3);
+  EXPECT_EQ(rng.next_double(), 0x1.93ccc2d5a6b98p-2);
+
+  // Bound 2^63 + 1 puts the rejection threshold at 2^63 - 1, so about
+  // half the raw draws are rejected (the first one here is).
+  Rng wide(2024);
+  const std::uint64_t bound = (std::uint64_t{1} << 63) + 1;
+  EXPECT_EQ(wide.next_below(bound), 5203896100300918884ull);
+  EXPECT_EQ(wide.next_below(bound), 5047958704815999654ull);
+  EXPECT_EQ(wide.next_below(bound), 1047502983193151956ull);
+  EXPECT_EQ(wide.next_below(bound), 4064644935779353567ull);
+}
+
 TEST(Rng, NextInInclusiveRange) {
   Rng rng(9);
   std::set<std::int64_t> seen;

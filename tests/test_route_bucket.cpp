@@ -3,7 +3,10 @@
 // queue's quantization mechanics (zero-cost seeds, FIFO ties, the
 // overflow bucket and its FIFO-preserving rebase, the monotone clamp),
 // the derived quantum, routing determinism fuzzed across worker counts
-// and pooled vs pool-free engines, and QoR pinned with timing off and on.
+// and pooled vs pool-free engines, QoR pinned with timing off and on, and
+// the PathFinder rule that rip-up iterations after the first re-route only
+// congested nets (legal trees, a strict subset re-routed, a verified and
+// worker-count-deterministic timed compile).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include "route/router.hpp"
 #include "route/router_core.hpp"
 #include "workload/circuits.hpp"
+#include "workload/random_dfg.hpp"
 
 namespace mcfpga::route {
 namespace {
@@ -296,8 +300,8 @@ TEST(BucketEngine, PinnedQoRUntimed) {
     std::size_t wirelength;
   };
   constexpr Pin kPins[] = {
-      {11, 4, 248},   {42, 5, 298},   {97, 5, 281},
-      {1234, 4, 284}, {5150, 4, 284}, {90210, 5, 298},
+      {11, 4, 247},   {42, 5, 297},   {97, 5, 281},
+      {1234, 4, 283}, {5150, 4, 283}, {90210, 5, 299},
   };
   const arch::RoutingGraph g(small_spec());
   for (const Pin& pin : kPins) {
@@ -308,6 +312,118 @@ TEST(BucketEngine, PinnedQoRUntimed) {
         << "seed " << pin.seed;
     EXPECT_EQ(total_wirelength(r), pin.wirelength) << "seed " << pin.seed;
   }
+}
+
+// --- PathFinder rip-up: congested nets only after iteration 0 -------------
+
+/// Random 4-context netlist whose contexts need several PathFinder
+/// iterations on small_spec() (3 untimed, 6 timed).
+netlist::MultiContextNetlist congested_workload() {
+  workload::RandomMultiContextParams params;
+  params.base.seed = 1;
+  params.base.num_nodes = 24;
+  return workload::random_multi_context(params);
+}
+
+TEST(PathFinder, FuzzedRoutesAreLegalTrees) {
+  // Nets kept across rip-up iterations must still end disjoint and
+  // connected.  In every context of every fuzz problem no node is held by
+  // two nets, and each path's edges chain from a node already on the net's
+  // tree (the source or an earlier path) to the path's sink.
+  constexpr std::size_t kFree = std::numeric_limits<std::size_t>::max();
+  const arch::RoutingGraph g(small_spec());
+  for (const std::uint64_t seed : kFuzzSeeds) {
+    const auto nets = random_route_problem(g, 18, seed);
+    const RouteResult r = Router(g, {}).route(nets);
+    ASSERT_TRUE(r.success) << "seed " << seed;
+    for (std::size_t c = 0; c < r.nets.size(); ++c) {
+      std::vector<std::size_t> owner(g.num_nodes(), kFree);
+      ASSERT_EQ(r.nets[c].size(), nets[c].size());
+      for (std::size_t i = 0; i < r.nets[c].size(); ++i) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " context " +
+                     std::to_string(c) + " net " + std::to_string(i));
+        const RoutedNet& net = r.nets[c][i];
+        ASSERT_EQ(net.source, nets[c][i].source);
+        ASSERT_EQ(net.paths.size(), nets[c][i].sinks.size());
+        std::vector<arch::NodeId> tree{net.source};
+        for (std::size_t p = 0; p < net.paths.size(); ++p) {
+          const RoutedPath& path = net.paths[p];
+          EXPECT_EQ(path.sink, nets[c][i].sinks[p]);
+          ASSERT_FALSE(path.edges.empty());
+          arch::NodeId at = g.edge(path.edges.front()).from;
+          EXPECT_NE(std::find(tree.begin(), tree.end(), at), tree.end())
+              << "path " << p << " starts off the net's tree";
+          for (const arch::EdgeId e : path.edges) {
+            EXPECT_EQ(g.edge(e).from, at) << "path " << p << " breaks";
+            at = g.edge(e).to;
+            tree.push_back(at);
+          }
+          EXPECT_EQ(at, path.sink);
+        }
+        for (const arch::NodeId n : tree) {
+          std::size_t& held_by = owner[static_cast<std::size_t>(n)];
+          EXPECT_TRUE(held_by == kFree || held_by == i)
+              << g.node(n).name << " is on nets " << held_by << " and " << i;
+          held_by = i;
+        }
+      }
+    }
+  }
+}
+
+TEST(PathFinder, LaterIterationsRerouteOnlyCongestedNets) {
+  // Iteration 0 routes every net from the same empty state whatever the
+  // cap, so a pass capped at one iteration costs exactly one full round.
+  // Re-routing every net in each later round costs over 0.9 of that round
+  // on this workload; re-routing only the congested nets must keep the
+  // later rounds under half a round each on average.
+  const auto nl = congested_workload();
+  const core::CompileOptions opts;
+  core::FlowContext ctx = core::make_flow_context(nl, small_spec(), opts);
+  core::run_pipeline(ctx, core::default_pipeline());
+  RouterOptions one_round = opts.router;
+  one_round.max_iterations = 1;
+  std::size_t negotiated = 0;
+  for (std::size_t c = 0; c < ctx.nets_per_context.size(); ++c) {
+    const auto& nets = ctx.nets_per_context[c];
+    RouterCore full_core(*ctx.graph, opts.router);
+    RouterCore first_core(*ctx.graph, one_round);
+    const auto full =
+        full_core.route_pass(nets, nullptr, nullptr, nullptr, nullptr);
+    const auto first =
+        first_core.route_pass(nets, nullptr, nullptr, nullptr, nullptr);
+    ASSERT_TRUE(full.converged) << "context " << c;
+    if (full.iterations < 2) {
+      continue;
+    }
+    ++negotiated;
+    const std::size_t later_rounds =
+        full.nodes_expanded - first.nodes_expanded;
+    EXPECT_LT(2 * later_rounds, (full.iterations - 1) * first.nodes_expanded)
+        << "context " << c << ": " << full.iterations << " iterations, "
+        << full.nodes_expanded << " vs " << first.nodes_expanded
+        << " expansions";
+  }
+  EXPECT_GT(negotiated, 0u) << "workload no longer needs negotiation";
+}
+
+TEST(PathFinder, CongestedTimedCompileVerifiesAndIsDeterministic) {
+  // Kept nets carry their switch counts into the re-timing between
+  // iterations; the programmed fabric must still compute the netlist,
+  // identically for every router worker count.
+  const auto nl = congested_workload();
+  core::CompileOptions opts;
+  opts.placer.timing_mode = true;
+  opts.router.timing_mode = true;
+  opts.router.num_threads = 1;
+  const core::MCFPGA serial(nl, small_spec(), opts);
+  ASSERT_GE(serial.design().routing.iterations, 2u);
+  EXPECT_EQ(serial.verify(16, 3), 0u);
+  opts.router.num_threads = 4;
+  const core::MCFPGA parallel(nl, small_spec(), opts);
+  expect_same_routing(serial.design().routing, parallel.design().routing);
+  EXPECT_EQ(config::to_text(serial.design().full_bitstream),
+            config::to_text(parallel.design().full_bitstream));
 }
 
 TEST(BucketEngine, PinnedQoRTimedFlow) {
