@@ -8,7 +8,7 @@
 # smoke the perf benches at tiny sizes so the hot paths are exercised,
 # not just compiled, and diff the smoke BENCH_JSON counters against the
 # pinned baselines (scripts/bench_guard.py) so queue-traffic and QoR
-# regressions of the maze engine and the flow fail CI.
+# regressions of the maze engine, the placer and the flow fail CI.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -42,7 +42,7 @@ cmake --build "$TSAN_DIR" -j "$(nproc)" \
 "$TSAN_DIR"/bench_serve --smoke > /dev/null
 
 echo "--- bench smoke runs ---"
-"$BUILD_DIR"/bench_placer --smoke
+"$BUILD_DIR"/bench_placer --smoke | tee "$BUILD_DIR"/bench_placer_smoke.log
 "$BUILD_DIR"/bench_flow_end2end --smoke | tee "$BUILD_DIR"/bench_flow_smoke.log
 "$BUILD_DIR"/bench_routing_delay --smoke | tee "$BUILD_DIR"/bench_routing_smoke.log
 "$BUILD_DIR"/bench_incremental --smoke | tee "$BUILD_DIR"/bench_incremental_smoke.log
@@ -55,6 +55,8 @@ echo "--- compile daemon smoke (in-process: repeat hit + cancel + teardown) ---"
 "$BUILD_DIR"/bench_serve --smoke | tee "$BUILD_DIR"/bench_serve_smoke.log
 
 echo "--- bench regression guard ---"
+python3 scripts/bench_guard.py --baseline BENCH_PLACER.json \
+  --log "$BUILD_DIR"/bench_placer_smoke.log
 python3 scripts/bench_guard.py --baseline BENCH_ROUTING.json \
   --log "$BUILD_DIR"/bench_routing_smoke.log
 python3 scripts/bench_guard.py --baseline BENCH_FLOW.json \

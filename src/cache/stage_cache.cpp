@@ -144,7 +144,7 @@ std::size_t bytes_of(const std::vector<timing::ContextTimingSpec>& specs) {
 
 std::size_t bytes_of(const place::Placement& p) {
   return 96 + p.cluster_pos.size() * 16 + p.io_pads.size() * 8 +
-         p.restart_stats.size() * 24;
+         p.restart_stats.size() * sizeof(place::RestartStat);
 }
 
 std::size_t bytes_of(const std::vector<timing::TimingReport>& reports) {

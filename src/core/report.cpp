@@ -25,6 +25,12 @@ void print_design_report(std::ostream& os, const CompiledDesign& design) {
   t.add_row({"size-controller SEs",
              fmt_count(design.planes.controller_se_cost())});
   t.add_row({"placement cost (HPWL)", fmt_double(design.placement.cost, 1)});
+  const auto& restarts = design.placement.restart_stats;
+  if (design.placement.winning_restart < restarts.size()) {
+    const place::RestartStat& win = restarts[design.placement.winning_restart];
+    t.add_row({"anneal moves proposed", fmt_count(win.moves_proposed)});
+    t.add_row({"anneal moves accepted", fmt_count(win.moves_accepted)});
+  }
   t.add_row({"bitstream rows", fmt_count(design.full_bitstream.num_rows())});
   t.print(os);
 

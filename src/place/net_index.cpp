@@ -1,6 +1,7 @@
 #include "place/net_index.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -31,200 +32,115 @@ NetIndex::NetIndex(const PlacementProblem& problem,
     }
   }
 
-  // Terminal->net CSR.  First pass counts one entry per distinct
-  // (terminal, net) pair; second pass fills entries with multiplicities.
-  // Within one net the member list is short, so distinctness is checked by
-  // scanning the net's terminals seen so far.
+  // Terminal->net CSR.  One pass collects the distinct (terminal, net)
+  // pairs — nets are visited in order, so a terminal's last-seen net
+  // dedupes its repeats — and counts them per terminal; a counting sort
+  // then lays them out.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  pairs.reserve(net_terms_.size());
+  std::vector<std::uint32_t> last_net(terms, UINT32_MAX);
   term_offset_.assign(terms + 1, 0);
-  for (std::size_t n = 0; n < nets; ++n) {
-    const std::uint32_t* begin = net_terms_begin(n);
-    const std::uint32_t* end = net_terms_end(n);
-    for (const std::uint32_t* it = begin; it != end; ++it) {
-      if (std::find(begin, it, *it) == it) {
+  for (std::uint32_t n = 0; n < nets; ++n) {
+    for (const std::uint32_t* it = net_terms_begin(n); it != net_terms_end(n);
+         ++it) {
+      if (last_net[*it] != n) {
+        last_net[*it] = n;
         ++term_offset_[*it + 1];
+        pairs.emplace_back(*it, n);
       }
     }
   }
   for (std::size_t t = 0; t < terms; ++t) {
     term_offset_[t + 1] += term_offset_[t];
   }
-  term_nets_.resize(term_offset_[terms]);
-  std::vector<std::uint32_t> fill(terms, 0);
-  for (std::size_t n = 0; n < nets; ++n) {
-    const std::uint32_t* begin = net_terms_begin(n);
-    const std::uint32_t* end = net_terms_end(n);
-    for (const std::uint32_t* it = begin; it != end; ++it) {
-      if (std::find(begin, it, *it) != it) {
-        continue;  // Repeat inside this net: already counted below.
-      }
-      const std::uint32_t count =
-          static_cast<std::uint32_t>(std::count(begin, end, *it));
-      term_nets_[term_offset_[*it] + fill[*it]++] =
-          TermNet{static_cast<std::uint32_t>(n), count};
-    }
+  term_nets_.resize(pairs.size());
+  std::vector<std::uint32_t> fill(term_offset_.begin(), term_offset_.end() - 1);
+  for (const auto& [t, n] : pairs) {
+    term_nets_[fill[t]++] = n;
   }
 }
 
-namespace {
-/// Below this degree a one-pass rescan is cheaper than count upkeep.
-constexpr std::size_t kAlwaysRescanDegree = 8;
-}  // namespace
+IncrementalHpwl::IncrementalHpwl(const NetIndex& index)
+    : index_(index),
+      pos_(index.num_terminals()),
+      half_perimeter_(index.num_nets(), 0),
+      stamp_(index.num_nets(), 0) {}
 
-IncrementalHpwl::IncrementalHpwl(const NetIndex& index) : index_(index) {
-  boxes_.resize(index_.num_nets());
-  scratch_.resize(index_.num_nets());
-  dirty_.assign(index_.num_nets(), 0);
-  stamp_.assign(index_.num_nets(), 0);
-  always_rescan_.resize(index_.num_nets());
-  for (std::size_t n = 0; n < index_.num_nets(); ++n) {
-    always_rescan_[n] = index_.net_degree(n) <= kAlwaysRescanDegree;
-  }
-}
-
-IncrementalHpwl::Box IncrementalHpwl::compute_box(std::size_t net) const {
-  Box b = compute_span(net);
-  const std::uint32_t* begin = index_.net_terms_begin(net);
+std::int64_t IncrementalHpwl::half_perimeter(std::size_t net) const {
+  const std::uint32_t* it = index_.net_terms_begin(net);
   const std::uint32_t* end = index_.net_terms_end(net);
-  for (const std::uint32_t* it = begin; it != end; ++it) {
-    b.n_min_x += xs_[*it] == b.min_x;
-    b.n_max_x += xs_[*it] == b.max_x;
-    b.n_min_y += ys_[*it] == b.min_y;
-    b.n_max_y += ys_[*it] == b.max_y;
+  std::int32_t min_x = pos_[*it].x, max_x = min_x;
+  std::int32_t min_y = pos_[*it].y, max_y = min_y;
+  for (++it; it != end; ++it) {
+    const Pos p = pos_[*it];
+    min_x = std::min(min_x, p.x);
+    max_x = std::max(max_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_y = std::max(max_y, p.y);
   }
-  return b;
+  return static_cast<std::int64_t>(max_x - min_x) +
+         static_cast<std::int64_t>(max_y - min_y);
 }
 
-IncrementalHpwl::Box IncrementalHpwl::compute_span(std::size_t net) const {
-  const std::uint32_t* begin = index_.net_terms_begin(net);
-  const std::uint32_t* end = index_.net_terms_end(net);
-  Box b;
-  b.min_x = b.max_x = xs_[*begin];
-  b.min_y = b.max_y = ys_[*begin];
-  for (const std::uint32_t* it = begin + 1; it != end; ++it) {
-    b.min_x = std::min(b.min_x, xs_[*it]);
-    b.max_x = std::max(b.max_x, xs_[*it]);
-    b.min_y = std::min(b.min_y, ys_[*it]);
-    b.max_y = std::max(b.max_y, ys_[*it]);
-  }
-  return b;
-}
-
-void IncrementalHpwl::reset(std::vector<std::int32_t> xs,
-                            std::vector<std::int32_t> ys) {
+void IncrementalHpwl::reset(const std::vector<std::int32_t>& xs,
+                            const std::vector<std::int32_t>& ys) {
   MCFPGA_REQUIRE(xs.size() == index_.num_terminals() && xs.size() == ys.size(),
                  "one position per terminal");
-  xs_ = std::move(xs);
-  ys_ = std::move(ys);
+  for (std::size_t t = 0; t < pos_.size(); ++t) {
+    pos_[t] = Pos{xs[t], ys[t]};
+  }
   cost_ = 0;
   for (std::size_t n = 0; n < index_.num_nets(); ++n) {
-    boxes_[n] = compute_box(n);
-    cost_ += index_.net_weight(n) * boxes_[n].half_perimeter();
+    half_perimeter_[n] = half_perimeter(n);
+    cost_ += index_.net_weight(n) * half_perimeter_[n];
   }
+  touched_.clear();
   undo_count_ = 0;
   pending_delta_ = 0;
-  pending_full_ = false;
 }
 
-namespace {
-
-/// Moves `m` box instances from old_c to new_c along one dimension.
-/// Leaves a support count at 0 when the last instance left an edge and the
-/// replacement landed strictly inside — the caller's cue to rescan.
-void update_dim(std::int32_t& min_c, std::int32_t& max_c, std::int32_t& n_min,
-                std::int32_t& n_max, std::int32_t old_c, std::int32_t new_c,
-                std::int32_t m) {
-  if (old_c == new_c) {
-    return;
-  }
-  if (old_c == min_c) {
-    n_min -= m;
-  }
-  if (old_c == max_c) {
-    n_max -= m;
-  }
-  if (new_c < min_c) {
-    min_c = new_c;
-    n_min = m;
-  } else if (new_c == min_c) {
-    n_min += m;
-  }
-  if (new_c > max_c) {
-    max_c = new_c;
-    n_max = m;
-  } else if (new_c == max_c) {
-    n_max += m;
-  }
-}
-
-}  // namespace
-
-std::int64_t IncrementalHpwl::propose(const Move* moves, std::size_t count) {
-  ++epoch_;
-  affected_.clear();
+void IncrementalHpwl::apply(const Move* moves, std::size_t count) {
   undo_count_ = count;
   for (std::size_t i = 0; i < count; ++i) {
-    const Move& mv = moves[i];
-    const std::int32_t old_x = xs_[mv.term];
-    const std::int32_t old_y = ys_[mv.term];
-    undo_[i] = Move{mv.term, old_x, old_y};
-    for (const NetIndex::TermNet* it = index_.terminal_nets_begin(mv.term);
-         it != index_.terminal_nets_end(mv.term); ++it) {
-      if (stamp_[it->net] != epoch_) {
-        stamp_[it->net] = epoch_;
-        dirty_[it->net] = always_rescan_[it->net];
-        if (!dirty_[it->net]) {
-          scratch_[it->net] = boxes_[it->net];
-        }
-        affected_.push_back(it->net);
-      }
-      if (dirty_[it->net]) {
-        continue;  // Will be rescanned from final positions anyway.
-      }
-      Box& b = scratch_[it->net];
-      const std::int32_t m = static_cast<std::int32_t>(it->count);
-      update_dim(b.min_x, b.max_x, b.n_min_x, b.n_max_x, old_x, mv.x, m);
-      update_dim(b.min_y, b.max_y, b.n_min_y, b.n_max_y, old_y, mv.y, m);
-      if (b.n_min_x == 0 || b.n_max_x == 0 || b.n_min_y == 0 ||
-          b.n_max_y == 0) {
-        dirty_[it->net] = 1;
-      }
-    }
-    xs_[mv.term] = mv.x;
-    ys_[mv.term] = mv.y;
+    Pos& p = pos_[moves[i].term];
+    undo_[i] = Move{moves[i].term, p.x, p.y};
+    p = Pos{moves[i].x, moves[i].y};
   }
+}
 
+std::int64_t IncrementalHpwl::propose(const Move* moves, std::size_t count) {
+  apply(moves, count);
+  ++epoch_;
+  touched_.clear();
   std::int64_t delta = 0;
-  for (const std::uint32_t net : affected_) {
-    if (dirty_[net]) {
-      scratch_[net] = always_rescan_[net] ? compute_span(net)
-                                          : compute_box(net);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const std::uint32_t* it = index_.terminal_nets_begin(moves[i].term);
+         it != index_.terminal_nets_end(moves[i].term); ++it) {
+      const std::uint32_t net = *it;
+      if (stamp_[net] == epoch_) {
+        continue;  // Shared by both moved terminals: already rescanned.
+      }
+      stamp_[net] = epoch_;
+      const std::int64_t hp = half_perimeter(net);
+      touched_.push_back(Touched{net, hp});
+      delta += index_.net_weight(net) * (hp - half_perimeter_[net]);
     }
-    delta += index_.net_weight(net) *
-             (scratch_[net].half_perimeter() - boxes_[net].half_perimeter());
   }
   pending_delta_ = delta;
-  pending_full_ = false;
   return delta;
 }
 
 std::int64_t IncrementalHpwl::propose_full(const Move* moves,
                                            std::size_t count) {
-  undo_count_ = count;
-  for (std::size_t i = 0; i < count; ++i) {
-    undo_[i] = Move{moves[i].term, xs_[moves[i].term], ys_[moves[i].term]};
-    xs_[moves[i].term] = moves[i].x;
-    ys_[moves[i].term] = moves[i].y;
-  }
+  apply(moves, count);
+  touched_.clear();  // commit() then leaves the per-net values alone.
   pending_delta_ = recompute_cost() - cost_;
-  pending_full_ = true;
   return pending_delta_;
 }
 
 void IncrementalHpwl::commit() {
-  if (!pending_full_) {
-    for (const std::uint32_t net : affected_) {
-      boxes_[net] = scratch_[net];
-    }
+  for (const Touched& t : touched_) {
+    half_perimeter_[t.net] = t.half_perimeter;
   }
   cost_ += pending_delta_;
   undo_count_ = 0;
@@ -232,8 +148,7 @@ void IncrementalHpwl::commit() {
 
 void IncrementalHpwl::rollback() {
   for (std::size_t i = 0; i < undo_count_; ++i) {
-    xs_[undo_[i].term] = undo_[i].x;
-    ys_[undo_[i].term] = undo_[i].y;
+    pos_[undo_[i].term] = Pos{undo_[i].x, undo_[i].y};
   }
   undo_count_ = 0;
 }
@@ -241,9 +156,7 @@ void IncrementalHpwl::rollback() {
 std::int64_t IncrementalHpwl::recompute_cost() const {
   std::int64_t c = 0;
   for (std::size_t n = 0; n < index_.num_nets(); ++n) {
-    // Counts-free scan: half_perimeter never reads the edge supports, and
-    // this is the full-recompute baseline the bench races against.
-    c += index_.net_weight(n) * compute_span(n).half_perimeter();
+    c += index_.net_weight(n) * half_perimeter(n);
   }
   return c;
 }

@@ -5,10 +5,10 @@
 // much does the total wirelength change if these one or two terminals
 // relocate?"  Answering it by recomputing every net (the seed placer's
 // State::total_cost) costs O(nets x terminals) per move; answering it from
-// a terminal->net index costs O(nets incident to the moved terminals).
-// The index is the same flat-CSR idiom RoutingGraph uses for its edge
-// adjacency: two offset/payload array pairs built once per problem, no
-// per-element heap traffic afterwards.
+// a terminal->net index costs O(pins of the nets incident to the moved
+// terminals).  The index is the same flat-CSR idiom RoutingGraph uses for
+// its edge adjacency: two offset/payload array pairs built once per
+// problem, no per-element heap traffic afterwards.
 //
 // Exactness: cell and pad coordinates are integers, so every net's
 // half-perimeter — and therefore every move delta — is an exact int64.
@@ -17,11 +17,15 @@
 // to the full-recompute baseline (same RNG draws, same deltas, same
 // accept decisions).
 //
-// Bounding boxes carry per-edge support counts (how many terminal
-// instances sit on min_x / max_x / min_y / max_y), VPR-style: a move only
-// forces an O(net terminals) rescan when it removes the last instance from
-// a box edge and lands strictly inside; every other move updates the box
-// in O(1).
+// One pass per move: propose() writes the new positions first, then
+// rescans every touched net once from the final positions.  No per-net
+// bounding box is kept, only its committed half-perimeter.  VPR instead
+// keeps per-edge support counts so that most moves update a box in O(1),
+// but on the flow's placement problems that bookkeeping costs more than
+// it saves: half the nets have 2 pins, about 5% have more than 8, the
+// largest has 23, and a move touches ~9 nets and ~47 pins in all.  A
+// branch-free min/max scan over so few pins beats the branchy count
+// upkeep, whose rescan cue fires on most small-net moves anyway.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +39,7 @@ namespace mcfpga::place {
 /// Terminal->net and net->terminal adjacency in flat CSR form.
 ///
 /// Terminals are numbered clusters first, then I/O terminals:
-/// cluster c -> c, io i -> num_clusters + i.  A terminal appearing several
-/// times in one net (driver and sink, or repeated sink) is one CSR entry
-/// with a multiplicity count, so moving it moves that many box instances.
+/// cluster c -> c, io i -> num_clusters + i.
 class NetIndex {
  public:
   /// `options` supplies the timing-mode net weighting; the default keeps
@@ -54,22 +56,16 @@ class NetIndex {
         t.kind == Terminal::Kind::kCluster ? t.id : num_clusters_ + t.id);
   }
 
-  /// One incident net of a terminal, with the number of instances the
-  /// terminal contributes to that net's bounding box.
-  struct TermNet {
-    std::uint32_t net = 0;
-    std::uint32_t count = 0;
-  };
-
-  /// Nets incident to terminal `t` (each net listed once).
-  const TermNet* terminal_nets_begin(std::size_t t) const {
+  /// Distinct nets incident to terminal `t`, in ascending net order.
+  const std::uint32_t* terminal_nets_begin(std::size_t t) const {
     return term_nets_.data() + term_offset_[t];
   }
-  const TermNet* terminal_nets_end(std::size_t t) const {
+  const std::uint32_t* terminal_nets_end(std::size_t t) const {
     return term_nets_.data() + term_offset_[t + 1];
   }
 
-  /// Terminal ids of net `n`, driver first, repeats preserved.
+  /// Terminal ids of net `n`, driver first, repeats preserved (a repeat
+  /// cannot change a min/max scan).
   const std::uint32_t* net_terms_begin(std::size_t n) const {
     return net_terms_.data() + net_offset_[n];
   }
@@ -79,17 +75,13 @@ class NetIndex {
 
   std::int64_t net_weight(std::size_t n) const { return net_weight_[n]; }
 
-  std::size_t net_degree(std::size_t n) const {
-    return net_offset_[n + 1] - net_offset_[n];
-  }
-
  private:
   std::size_t num_clusters_ = 0;
   std::vector<std::int64_t> net_weight_;
   // terminal -> incident nets.
   std::vector<std::uint32_t> term_offset_;
-  std::vector<TermNet> term_nets_;
-  // net -> member terminals (for box rescans).
+  std::vector<std::uint32_t> term_nets_;
+  // net -> member terminals (for half-perimeter scans).
   std::vector<std::uint32_t> net_offset_;
   std::vector<std::uint32_t> net_terms_;
 };
@@ -102,17 +94,17 @@ class NetIndex {
 /// semantics but recomputes the whole cost from scratch — the
 /// full-recompute baseline the benches race against.  Do not mix
 /// propose() and propose_full() between resets: the full path leaves the
-/// per-net boxes stale on commit.
+/// per-net half-perimeters stale on commit.
 class IncrementalHpwl {
  public:
   explicit IncrementalHpwl(const NetIndex& index);
 
-  /// Rebuilds every box and the total cost from the given positions.
-  void reset(std::vector<std::int32_t> xs, std::vector<std::int32_t> ys);
+  /// Rebuilds every net's half-perimeter and the total cost from the
+  /// given positions.
+  void reset(const std::vector<std::int32_t>& xs,
+             const std::vector<std::int32_t>& ys);
 
   std::int64_t cost() const { return cost_; }
-  std::int32_t x(std::size_t t) const { return xs_[t]; }
-  std::int32_t y(std::size_t t) const { return ys_[t]; }
 
   /// One terminal relocation; `x`/`y` are the new position.
   struct Move {
@@ -122,7 +114,7 @@ class IncrementalHpwl {
   };
 
   /// Applies the moves (terminals must be distinct) and returns the exact
-  /// cost delta, touching only the nets incident to the moved terminals.
+  /// cost delta, rescanning only the nets incident to the moved terminals.
   std::int64_t propose(const Move* moves, std::size_t count);
 
   /// Same contract as propose(), but O(all nets): applies the moves and
@@ -138,43 +130,34 @@ class IncrementalHpwl {
   std::int64_t recompute_cost() const;
 
  private:
-  struct Box {
-    std::int32_t min_x = 0, max_x = 0, min_y = 0, max_y = 0;
-    /// Terminal instances sitting on each box edge; 0 on any edge after an
-    /// incremental update means the box must be rescanned.
-    std::int32_t n_min_x = 0, n_max_x = 0, n_min_y = 0, n_max_y = 0;
-
-    std::int64_t half_perimeter() const {
-      return static_cast<std::int64_t>(max_x - min_x) +
-             static_cast<std::int64_t>(max_y - min_y);
-    }
+  struct Pos {
+    std::int32_t x = 0;
+    std::int32_t y = 0;
+  };
+  /// A net touched by the pending move and its proposed half-perimeter.
+  struct Touched {
+    std::uint32_t net = 0;
+    std::int64_t half_perimeter = 0;
   };
 
-  Box compute_box(std::size_t net) const;
-  /// Min/max only — for nets below the always-rescan degree threshold,
-  /// whose support counts are never consulted.
-  Box compute_span(std::size_t net) const;
+  /// Writes the moved terminals' new positions, remembering the old ones.
+  void apply(const Move* moves, std::size_t count);
+  /// Half-perimeter of `net`'s bounding box at the current positions.
+  std::int64_t half_perimeter(std::size_t net) const;
 
   const NetIndex& index_;
-  std::vector<std::int32_t> xs_, ys_;
+  std::vector<Pos> pos_;
   std::int64_t cost_ = 0;
 
-  std::vector<Box> boxes_;    ///< Committed per-net boxes.
-  std::vector<Box> scratch_;  ///< Proposed boxes for touched nets.
-  std::vector<std::uint8_t> dirty_;  ///< Scratch box needs a rescan.
-  /// Nets small enough that a one-pass rescan beats maintaining edge
-  /// support counts (a moved terminal of a 2..5-pin net almost always
-  /// sits on a box edge, so the counts would force rescans anyway).
-  std::vector<std::uint8_t> always_rescan_;
+  std::vector<std::int64_t> half_perimeter_;  ///< Committed, per net.
   /// 64-bit so a long anneal can never wrap the epoch into a stale stamp.
   std::vector<std::uint64_t> stamp_;
   std::uint64_t epoch_ = 0;
-  std::vector<std::uint32_t> affected_;
+  std::vector<Touched> touched_;
 
   Move undo_[2];
   std::size_t undo_count_ = 0;
   std::int64_t pending_delta_ = 0;
-  bool pending_full_ = false;
 };
 
 }  // namespace mcfpga::place

@@ -13,6 +13,9 @@ namespace mcfpga::place {
 
 namespace {
 
+/// Bound on a rounded criticality bump, so 1 + bump is an exact int64.
+constexpr double kMaxTimingBump = 0x1p62;
+
 /// Grid/pad geometry shared (read-only) by every restart.
 struct Geometry {
   std::size_t cells = 0;
@@ -38,6 +41,31 @@ Geometry make_geometry(const arch::RoutingGraph& graph) {
   return g;
 }
 
+/// Every net's half-perimeter is at most the fabric's x span plus its y
+/// span, so when the weighted sum of that bound fits, every running cost
+/// and delta of the anneal is an exact int64.  Throws InvalidArgument
+/// otherwise (a huge timing_weight).
+void require_exact_cost(const NetIndex& index, const Geometry& geom) {
+  std::int64_t lo_x = 0, hi_x = static_cast<std::int64_t>(geom.width) - 1;
+  std::int64_t lo_y = 0, hi_y = static_cast<std::int64_t>(geom.height) - 1;
+  for (std::size_t p = 0; p < geom.pads; ++p) {
+    lo_x = std::min<std::int64_t>(lo_x, geom.pad_x[p]);
+    hi_x = std::max<std::int64_t>(hi_x, geom.pad_x[p]);
+    lo_y = std::min<std::int64_t>(lo_y, geom.pad_y[p]);
+    hi_y = std::max<std::int64_t>(hi_y, geom.pad_y[p]);
+  }
+  const std::int64_t max_half_perimeter = (hi_x - lo_x) + (hi_y - lo_y);
+  std::int64_t bound = 0;
+  for (std::size_t n = 0; n < index.num_nets(); ++n) {
+    std::int64_t term = 0;
+    MCFPGA_REQUIRE(
+        !__builtin_mul_overflow(index.net_weight(n), max_half_perimeter,
+                                &term) &&
+            !__builtin_add_overflow(bound, term, &bound),
+        "weighted wirelength may overflow int64 (timing_weight too large)");
+  }
+}
+
 /// VPR-style acceptance-rate-driven temperature multiplier.
 double adaptive_cooling_factor(double accept_rate) {
   if (accept_rate > 0.96) {
@@ -55,10 +83,12 @@ double adaptive_cooling_factor(double accept_rate) {
 /// One independent annealing run.  Both delta-evaluation modes draw the
 /// same RNG sequence and see the same exact integer deltas, so for a given
 /// seed the trajectory — and the returned Placement — is bit-identical
-/// whether options.incremental is set or not.
+/// whether options.incremental is set or not.  Fills `stat`'s seed, cost
+/// and move counters (not its wall clock).
 Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
                      const NetIndex& index, const PlacerOptions& options,
-                     std::uint64_t seed, const Placement* initial) {
+                     std::uint64_t seed, const Placement* initial,
+                     RestartStat& stat) {
   Rng rng(seed);
   const std::size_t width = geom.width;
 
@@ -107,7 +137,7 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
       xs[problem.num_clusters + i] = geom.pad_x[io_pad[i]];
       ys[problem.num_clusters + i] = geom.pad_y[io_pad[i]];
     }
-    hp.reset(std::move(xs), std::move(ys));
+    hp.reset(xs, ys);
   }
 
   std::int64_t cost = hp.cost();
@@ -237,6 +267,8 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
         });
       }
     }
+    stat.moves_proposed += evaluated;
+    stat.moves_accepted += accepted;
     const double accept_rate =
         evaluated != 0
             ? static_cast<double>(accepted) / static_cast<double>(evaluated)
@@ -256,6 +288,8 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
   }
   out.io_pads = std::move(io_pad);
   out.cost = static_cast<double>(cost);
+  stat.seed = seed;
+  stat.cost = out.cost;
   return out;
 }
 
@@ -263,20 +297,30 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
 
 void PlacerOptions::validate() const {
   MCFPGA_REQUIRE(sweeps > 0, "placer needs at least one sweep");
-  MCFPGA_REQUIRE(initial_temperature_factor > 0.0,
-                 "initial_temperature_factor must be positive");
+  MCFPGA_REQUIRE(std::isfinite(initial_temperature_factor) &&
+                     initial_temperature_factor > 0.0,
+                 "initial_temperature_factor must be positive and finite");
   MCFPGA_REQUIRE(cooling > 0.0 && cooling <= 1.0,
                  "cooling must lie in (0, 1]");
   MCFPGA_REQUIRE(num_restarts > 0, "placer needs at least one restart");
-  MCFPGA_REQUIRE(timing_weight >= 0.0, "timing_weight must be non-negative");
+  // Also rejects NaN and infinity.
+  MCFPGA_REQUIRE(timing_weight >= 0.0 && timing_weight < kMaxTimingBump,
+                 "timing_weight must be non-negative and below 2^62");
 }
 
 std::int64_t effective_net_weight(const PlacementNet& net,
                                   const PlacerOptions& options) {
+  MCFPGA_REQUIRE(net.weight <= static_cast<std::size_t>(INT64_MAX),
+                 "net weight overflows int64");
   std::int64_t w = static_cast<std::int64_t>(net.weight);
   if (options.timing_mode) {
-    w *= 1 + static_cast<std::int64_t>(
-                 std::llround(net.criticality * options.timing_weight));
+    // std::round rounds halves away from zero, like std::llround.
+    const double bump = std::round(net.criticality * options.timing_weight);
+    MCFPGA_REQUIRE(bump >= 0.0 && bump < kMaxTimingBump,
+                   "criticality bump out of range (timing_weight too large)");
+    MCFPGA_REQUIRE(!__builtin_mul_overflow(
+                       w, 1 + static_cast<std::int64_t>(bump), &w),
+                   "timing_weight overflows an int64 net weight");
   }
   return w;
 }
@@ -367,22 +411,23 @@ Placement place(const PlacementProblem& problem,
 
   const NetIndex index(problem, options);
   const Geometry geom = make_geometry(graph);
+  require_exact_cost(index, geom);
   const std::size_t restarts = std::max<std::size_t>(1, options.num_restarts);
 
   using clock = std::chrono::steady_clock;
   std::vector<Placement> results(restarts);
-  std::vector<double> seconds(restarts, 0.0);
+  std::vector<RestartStat> stats(restarts);
   std::vector<std::exception_ptr> errors(restarts);
   const auto run_restart = [&](std::size_t r) {
     const auto start = clock::now();
     try {
-      results[r] =
-          anneal_one(problem, geom, index, options, options.seed + r, initial);
+      results[r] = anneal_one(problem, geom, index, options, options.seed + r,
+                              initial, stats[r]);
     } catch (...) {
       errors[r] = std::current_exception();
     }
     const std::chrono::duration<double> elapsed = clock::now() - start;
-    seconds[r] = elapsed.count();
+    stats[r].seconds = elapsed.count();
   };
 
   const std::size_t workers = effective_threads(options.num_threads, restarts);
@@ -402,10 +447,6 @@ Placement place(const PlacementProblem& problem,
     if (results[r].cost < results[best].cost) {
       best = r;
     }
-  }
-  std::vector<RestartStat> stats(restarts);
-  for (std::size_t r = 0; r < restarts; ++r) {
-    stats[r] = RestartStat{options.seed + r, results[r].cost, seconds[r]};
   }
   Placement out = std::move(results[best]);
   out.restart_stats = std::move(stats);

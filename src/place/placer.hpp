@@ -12,11 +12,12 @@
 // given seed.
 //
 // Move evaluation is exact and incremental: a flat CSR terminal->net index
-// (place/net_index.hpp) is built once per problem, and each move updates
-// only the bounding boxes of the nets incident to the moved terminals.
-// Coordinates are integers, so deltas are exact int64s and the incremental
-// trajectory is bit-identical to the O(nets x terminals) full-recompute
-// baseline (PlacerOptions::incremental = false, kept for benches/tests).
+// (place/net_index.hpp) is built once per problem, and each move rescans
+// only the nets incident to the moved terminals, once each, from their
+// final positions.  Coordinates are integers, so deltas are exact int64s
+// and the incremental trajectory is bit-identical to the O(nets x
+// terminals) full-recompute baseline (PlacerOptions::incremental = false,
+// kept for benches/tests).
 //
 // Multi-seed restarts: num_restarts independent annealers (restart r seeds
 // its RNG with seed + r) run on a worker pool, and the lowest-cost result
@@ -93,17 +94,20 @@ struct PlacerOptions {
   /// the pure-HPWL placer.
   bool timing_mode = false;
   /// Strength of the criticality bump (a fully critical net weighs
-  /// (1 + timing_weight)x its wirelength weight).
+  /// (1 + timing_weight)x its wirelength weight).  Must be finite and
+  /// below 2^62.
   double timing_weight = 4.0;
 
   /// Throws InvalidArgument on out-of-range values (zero sweep/restart
-  /// budget, non-positive cooling, negative weights, ...).  Called by
-  /// place().
+  /// budget, non-positive cooling, negative or non-finite weights and
+  /// temperatures, ...).  Called by place().
   void validate() const;
 };
 
 /// The annealer's per-net weight: the context count, criticality-bumped in
 /// timing mode.  Exposed so placement_cost() and the NetIndex agree.
+/// Throws InvalidArgument when the weight does not fit an int64 (a huge
+/// timing_weight times a multi-context net weight).
 std::int64_t effective_net_weight(const PlacementNet& net,
                                   const PlacerOptions& options);
 
@@ -113,6 +117,10 @@ struct RestartStat {
   std::uint64_t seed = 0;
   double cost = 0.0;
   double seconds = 0.0;  ///< Wall clock of this restart's anneal.
+  /// Moves evaluated by the anneal (a draw that leaves the terminal in
+  /// place is not proposed), and those of them it kept.
+  std::uint64_t moves_proposed = 0;
+  std::uint64_t moves_accepted = 0;
 };
 
 struct Placement {

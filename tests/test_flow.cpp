@@ -147,6 +147,7 @@ TEST(Flow, DesignReportPrints) {
   print_design_report(os, chip.design());
   EXPECT_NE(os.str().find("compiled design"), std::string::npos);
   EXPECT_NE(os.str().find("logic blocks"), std::string::npos);
+  EXPECT_NE(os.str().find("anneal moves accepted"), std::string::npos);
 }
 
 TEST(Flow, LocalControlUsesNoMoreBlocksThanGlobal) {

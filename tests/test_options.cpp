@@ -174,6 +174,60 @@ TEST(PlacerOptionsValidation, RejectsBadWeightsAndSchedules) {
   EXPECT_THROW(o.validate(), InvalidArgument);
 }
 
+TEST(PlacerOptionsValidation, RejectsNonFiniteValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan, 1e300, 0x1p62}) {
+    place::PlacerOptions o;
+    o.timing_weight = bad;
+    EXPECT_THROW(o.validate(), InvalidArgument) << bad;
+  }
+  for (const double bad : {inf, nan}) {
+    place::PlacerOptions o;
+    o.initial_temperature_factor = bad;
+    EXPECT_THROW(o.validate(), InvalidArgument) << bad;
+  }
+}
+
+TEST(PlacerOptionsValidation, RejectsTimingWeightOverflowingNetWeight) {
+  // 2^61 passes validate(), and a fully critical weight-1 net's weight
+  // still fits int64; a weight-8 net's rounded product does not.
+  place::PlacerOptions o;
+  o.seed = 1;
+  o.timing_mode = true;
+  o.timing_weight = 0x1p61;
+  EXPECT_NO_THROW(o.validate());
+  place::PlacementNet net;
+  net.criticality = 1.0;
+  net.weight = 1;
+  EXPECT_EQ(place::effective_net_weight(net, o),
+            (std::int64_t{1} << 61) + 1);
+  net.weight = 8;
+  EXPECT_THROW(place::effective_net_weight(net, o), InvalidArgument);
+
+  const arch::RoutingGraph graph(tiny_spec());
+  place::PlacementProblem prob;
+  prob.num_clusters = 2;
+  net.driver = place::Terminal::cluster(0);
+  net.sinks = {place::Terminal::cluster(1)};
+  prob.nets.push_back(net);
+  EXPECT_THROW(place::place(prob, graph, o), InvalidArgument);
+  // A weight-3 net's weight fits, but its weighted wirelength could
+  // reach 6 * 2^61 on this fabric: the anneal's int64 cost would
+  // overflow, so place() rejects it too.
+  prob.nets[0].weight = 3;
+  EXPECT_EQ(place::effective_net_weight(prob.nets[0], o),
+            3 * ((std::int64_t{1} << 61) + 1));
+  EXPECT_THROW(place::place(prob, graph, o), InvalidArgument);
+  o.timing_weight = 0x1p50;
+  EXPECT_NO_THROW(place::place(prob, graph, o));
+  // Timing mode off: criticalities are ignored, so nothing overflows.
+  o.timing_weight = 0x1p61;
+  o.timing_mode = false;
+  prob.nets[0].weight = 8;
+  EXPECT_NO_THROW(place::place(prob, graph, o));
+}
+
 TEST(PlacerOptionsValidation, PlaceValidatesAtEntry) {
   const arch::RoutingGraph graph(tiny_spec());
   place::PlacementProblem prob;

@@ -1,13 +1,16 @@
 // Delta-cost correctness of the incremental placer.
 //
-// Two layers: (1) fuzz IncrementalHpwl directly — replay random move
+// Three layers: (1) fuzz IncrementalHpwl directly — replay random move
 // sequences with random commit/rollback decisions and assert the running
 // cost equals a from-scratch recompute after every single step; (2) run
 // the full annealer in incremental and full-recompute modes on the same
 // seeds and require bit-identical Placements (positions, pads, cost), plus
-// the exactness of the final cost against placement_cost().
+// the exactness of the final cost against placement_cost(); (3) pin the
+// final cost and a position hash of fixed anneals, so a rewrite of the
+// evaluator cannot shift the trajectory unnoticed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/routing_graph.hpp"
@@ -35,11 +38,13 @@ Terminal random_terminal(Rng& rng, const PlacementProblem& prob) {
   return Terminal::io(pick - prob.num_clusters);
 }
 
-/// Random problem; terminals may repeat within a net (driver re-listed as
-/// a sink, duplicated sinks) so multiplicity handling gets exercised.
+/// Random problem with min_sinks..max_sinks sinks per net; terminals may
+/// repeat within a net (driver re-listed as a sink, duplicated sinks) so
+/// repeated net members get exercised.
 PlacementProblem random_problem(std::uint64_t seed, std::size_t clusters,
                                 std::size_t ios, std::size_t nets,
-                                std::size_t max_sinks) {
+                                std::size_t max_sinks,
+                                std::size_t min_sinks = 0) {
   Rng rng(seed);
   PlacementProblem prob;
   prob.num_clusters = clusters;
@@ -48,7 +53,8 @@ PlacementProblem random_problem(std::uint64_t seed, std::size_t clusters,
     PlacementNet net;
     net.driver = random_terminal(rng, prob);
     const std::size_t sinks =
-        static_cast<std::size_t>(rng.next_below(max_sinks + 1));
+        min_sinks +
+        static_cast<std::size_t>(rng.next_below(max_sinks - min_sinks + 1));
     for (std::size_t s = 0; s < sinks; ++s) {
       net.sinks.push_back(random_terminal(rng, prob));
     }
@@ -59,10 +65,11 @@ PlacementProblem random_problem(std::uint64_t seed, std::size_t clusters,
   return prob;
 }
 
-/// Replays `steps` random 1- or 2-terminal moves, committing or rolling
-/// back at random, and checks exactness after every step.
+/// Replays `steps` random 1- or 2-terminal moves on a `grid` x `grid`
+/// coordinate range, committing or rolling back at random, and checks
+/// exactness after every step.
 void fuzz_against_recompute(const PlacementProblem& prob, std::uint64_t seed,
-                            std::size_t steps) {
+                            std::size_t steps, std::uint64_t grid = 30) {
   const NetIndex index(prob);
   const std::size_t terms = prob.num_clusters + prob.num_io_terminals;
   ASSERT_EQ(index.num_terminals(), terms);
@@ -70,8 +77,8 @@ void fuzz_against_recompute(const PlacementProblem& prob, std::uint64_t seed,
   Rng rng(seed);
   std::vector<std::int32_t> xs(terms), ys(terms);
   for (std::size_t t = 0; t < terms; ++t) {
-    xs[t] = static_cast<std::int32_t>(rng.next_below(30));
-    ys[t] = static_cast<std::int32_t>(rng.next_below(30));
+    xs[t] = static_cast<std::int32_t>(rng.next_below(grid));
+    ys[t] = static_cast<std::int32_t>(rng.next_below(grid));
   }
   IncrementalHpwl hp(index);
   hp.reset(xs, ys);
@@ -89,8 +96,8 @@ void fuzz_against_recompute(const PlacementProblem& prob, std::uint64_t seed,
       count = 1;
     }
     for (std::size_t i = 0; i < count; ++i) {
-      moves[i].x = static_cast<std::int32_t>(rng.next_below(30));
-      moves[i].y = static_cast<std::int32_t>(rng.next_below(30));
+      moves[i].x = static_cast<std::int32_t>(rng.next_below(grid));
+      moves[i].y = static_cast<std::int32_t>(rng.next_below(grid));
     }
     const std::int64_t before = hp.cost();
     const std::int64_t delta = hp.propose(moves, count);
@@ -108,6 +115,8 @@ void fuzz_against_recompute(const PlacementProblem& prob, std::uint64_t seed,
 TEST(IncrementalHpwl, FuzzMatchesRecomputeAcrossShapes) {
   struct Shape {
     std::size_t clusters, ios, nets, max_sinks;
+    std::size_t min_sinks = 0;
+    std::uint64_t grid = 30;
   };
   const Shape shapes[] = {
       {8, 0, 12, 4},    // clusters only
@@ -116,13 +125,16 @@ TEST(IncrementalHpwl, FuzzMatchesRecomputeAcrossShapes) {
       {3, 2, 4, 0},     // driver-only (single-terminal) nets
       {2, 1, 6, 6},     // tiny: heavy repeats, everything on box edges
       {24, 8, 10, 16},  // few large nets
+      // 9..24-pin nets on a 4x4 grid: most moves leave or land on a box
+      // edge that other terminals of the net share.
+      {20, 6, 14, 23, 8, 4},
   };
   std::uint64_t seed = 100;
   for (const Shape& s : shapes) {
     for (std::uint64_t salt = 0; salt < 3; ++salt) {
-      const PlacementProblem prob =
-          random_problem(seed + salt, s.clusters, s.ios, s.nets, s.max_sinks);
-      fuzz_against_recompute(prob, seed + 7 * salt + 1, 400);
+      const PlacementProblem prob = random_problem(
+          seed + salt, s.clusters, s.ios, s.nets, s.max_sinks, s.min_sinks);
+      fuzz_against_recompute(prob, seed + 7 * salt + 1, 400, s.grid);
     }
     seed += 50;
   }
@@ -239,6 +251,23 @@ TEST(Placer, RestartsAreDeterministicAndNeverWorse) {
   EXPECT_DOUBLE_EQ(multi_a.cost,
                    multi_a.restart_stats[multi_a.winning_restart].cost);
   EXPECT_EQ(multi_a.restart_stats[2].seed, opts.seed + 2);
+
+  // Move counters are deterministic per restart and bounded by the budget.
+  const std::uint64_t budget =
+      opts.sweeps * 16 * (prob.num_clusters + prob.num_io_terminals + 1);
+  EXPECT_EQ(multi_a.restart_stats[0].moves_proposed,
+            single.restart_stats[0].moves_proposed);
+  EXPECT_EQ(multi_a.restart_stats[0].moves_accepted,
+            single.restart_stats[0].moves_accepted);
+  for (std::size_t r = 0; r < 4; ++r) {
+    const auto& a = multi_a.restart_stats[r];
+    const auto& b = multi_b.restart_stats[r];
+    EXPECT_EQ(a.moves_proposed, b.moves_proposed);
+    EXPECT_EQ(a.moves_accepted, b.moves_accepted);
+    EXPECT_GT(a.moves_accepted, 0u);
+    EXPECT_LE(a.moves_accepted, a.moves_proposed);
+    EXPECT_LE(a.moves_proposed, budget);
+  }
 }
 
 TEST(Placer, RangeLimitAndAdaptiveCoolingStayExact) {
@@ -253,6 +282,78 @@ TEST(Placer, RangeLimitAndAdaptiveCoolingStayExact) {
   const Placement q = place::place(prob, g, opts);
   EXPECT_EQ(p.cluster_pos, q.cluster_pos);
   EXPECT_EQ(p.io_pads, q.io_pads);
+}
+
+/// FNV-1a over the cluster positions and pad indices of a placement.
+std::uint64_t placement_hash(const Placement& p) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& [x, y] : p.cluster_pos) {
+    mix(x);
+    mix(y);
+  }
+  for (const std::size_t pad : p.io_pads) {
+    mix(pad);
+  }
+  return h;
+}
+
+/// Pins the outcome of fixed anneals — cold starts at several seeds with
+/// timing mode off and on, and one warm start.  The anneal is exact and
+/// deterministic, so any change to these values is a trajectory change.
+TEST(Placer, PinnedTrajectory) {
+  PlacementProblem prob = random_problem(61, 30, 10, 48, 6);
+  Rng crit_rng(62);
+  for (PlacementNet& net : prob.nets) {
+    net.criticality = static_cast<double>(crit_rng.next_below(5)) / 4.0;
+  }
+  const arch::RoutingGraph g(spec_n(6));
+
+  struct Pin {
+    std::uint64_t seed;
+    bool timing;
+    double cost;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {3, false, 556.0, 0x956ae85543d566beull},
+      {17, false, 537.0, 0xabf3e4c6d973886eull},
+      {29, false, 574.0, 0xbcf70fcf9e032f14ull},
+      {3, true, 1635.0, 0x021ce9e213d93d55ull},
+      {17, true, 1582.0, 0x8bcaf12b635d831full},
+      {29, true, 1545.0, 0x0fc6ee8cb9c3ccd2ull},
+  };
+  for (const Pin& pin : pins) {
+    PlacerOptions opts;
+    opts.seed = pin.seed;
+    opts.sweeps = 20;
+    opts.timing_mode = pin.timing;
+    const Placement p = place::place(prob, g, opts);
+    EXPECT_EQ(p.cost, pin.cost) << "seed " << pin.seed << " timing "
+                                << pin.timing;
+    EXPECT_EQ(placement_hash(p), pin.hash)
+        << "seed " << pin.seed << " timing " << pin.timing << " hash 0x"
+        << std::hex << placement_hash(p);
+  }
+
+  // Warm start: a cool refine anneal from the seed-3 timing placement.
+  PlacerOptions opts;
+  opts.seed = 3;
+  opts.sweeps = 20;
+  opts.timing_mode = true;
+  const Placement cold = place::place(prob, g, opts);
+  opts.seed = 5;
+  opts.sweeps = 12;
+  opts.initial_temperature_factor = 0.01;
+  const Placement warm = place::place(prob, g, opts, &cold);
+  EXPECT_EQ(warm.cost, 948.0);
+  EXPECT_EQ(placement_hash(warm), 0xa1fdec6090b14e38ull)
+      << "hash 0x" << std::hex << placement_hash(warm);
 }
 
 }  // namespace
