@@ -368,101 +368,6 @@ int main(int argc, char** argv) {
               << cw.size() << " workload(s).\n\n";
   }
 
-  // --- Cross-context negotiated routing ------------------------------------
-  // Independent per-context routing vs the criticality-ordered negotiated
-  // scheduler (RouterOptions::cross_context_mode) on identical options.
-  // One BENCH_JSON line per negotiation round records the
-  // conflicts/slack/wall-time trajectory; the gate (a non-zero exit)
-  // enforces that negotiated routing is never worse than independent on
-  // worst slack, and that results are identical across worker counts.
-  {
-    struct XctxWorkload {
-      std::string name;
-      netlist::MultiContextNetlist nl;
-    };
-    std::vector<XctxWorkload> xw;
-    xw.push_back({"pipeline(4,8)", workload::pipeline_workload(4, 8)});
-    if (!smoke) {
-      netlist::MultiContextNetlist mixed(4);
-      mixed.context(0) = workload::ripple_carry_adder(3);
-      mixed.context(1) = workload::comparator(5);
-      mixed.context(2) = workload::parity_tree(8);
-      mixed.context(3) = workload::crc_step(6, 0b000011);
-      xw.push_back({"heterogeneous", std::move(mixed)});
-    }
-
-    const auto worst_path = [](const core::CompiledDesign& d) {
-      double worst = 0.0;
-      for (const auto& s : d.context_stats) {
-        worst = std::max(worst, s.critical_path);
-      }
-      return worst;
-    };
-    const auto conflicts = [](const core::CompiledDesign& d) {
-      std::size_t total = 0;
-      for (const auto& s : d.context_stats) {
-        total += s.cross_context_conflicts;
-      }
-      return total;
-    };
-
-    Table xt({"workload", "crit path (indep)", "crit path (negotiated)",
-              "conflicts (indep)", "conflicts (negotiated)", "rounds"});
-    bool gate_ok = true;
-    bool deterministic = true;
-    for (const auto& w : xw) {
-      core::CompileOptions indep;
-      indep.placer.timing_mode = true;
-      indep.router.timing_mode = true;
-      core::CompileOptions nego = indep;
-      nego.router.cross_context_mode = route::CrossContextMode::kNegotiated;
-
-      const auto d_indep = core::compile(w.nl, spec, indep);
-      const auto d_nego = core::compile(w.nl, spec, nego);
-      const double p_indep = worst_path(d_indep);
-      const double p_nego = worst_path(d_nego);
-      gate_ok &= p_nego <= p_indep + 1e-9;
-
-      for (const auto& r : d_nego.routing.negotiation_stats) {
-        bench::json_line(
-            "xctx_" + w.name + "_round" + std::to_string(r.round), r.round,
-            r.seconds * 1e3, r.worst_critical_path,
-            "\"conflicts\":" + std::to_string(r.conflicts) +
-                ",\"worst_switches\":" +
-                std::to_string(r.worst_critical_switches) +
-                ",\"kept\":" + (r.kept ? "true" : "false"));
-      }
-      xt.add_row({w.name, fmt_double(p_indep, 1), fmt_double(p_nego, 1),
-                  fmt_count(conflicts(d_indep)),
-                  fmt_count(conflicts(d_nego)),
-                  std::to_string(d_nego.routing.negotiation_rounds)});
-
-      // Determinism: pressure merges in context order at round barriers,
-      // so worker count must not change the negotiated answer.
-      core::CompileOptions nego_serial = nego;
-      nego_serial.router.num_threads = 1;
-      const auto d_serial = core::compile(w.nl, spec, nego_serial);
-      deterministic &= worst_path(d_serial) == p_nego &&
-                       conflicts(d_serial) == conflicts(d_nego);
-    }
-    std::cout << "\ncross-context negotiated routing vs independent "
-                 "(worst context critical path, shared wire nodes):\n";
-    xt.print(std::cout);
-    if (!gate_ok) {
-      std::cout << "FAIL: negotiated routing finished with worse worst "
-                   "slack than independent\n";
-      return 1;
-    }
-    if (!deterministic) {
-      std::cout << "FAIL: negotiated routing varies with router worker "
-                   "count\n";
-      return 1;
-    }
-    std::cout << "negotiated routing never finished worse than "
-                 "independent on "
-              << xw.size() << " workload(s).\n\n";
-  }
-
   if (!smoke) {
     // Detailed report for one design.
     const core::MCFPGA chip(workload::pipeline_workload(4, 6), spec);

@@ -8,11 +8,7 @@
 // The bench also times the router's maze expansion (Dial's calendar
 // queue) on a congested random multi-context workload — wall clock,
 // queue-traffic counters, QoR, and the same engine under a timing-driven
-// compile — and compares the two cross-context negotiation schedulers
-// (whole-context rounds vs the net-interleaved merged queue) on the same
-// workload: total maze traffic summed over every round/wave, with a
-// >= 1.3x expansion reduction gate at equal-or-better conflicts and
-// critical switches.
+// compile.
 //
 // Pass --smoke for a reduced CI-sized run.  Every measurement also emits
 // one BENCH_JSON machine-readable line (see bench_json.hpp).
@@ -21,7 +17,6 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <thread>
 
 #include "arch/routing_graph.hpp"
 #include "bench_json.hpp"
@@ -317,272 +312,6 @@ int main(int argc, char** argv) {
               << flow_wirelength << "\n";
     bench::json_line("routing_engine_flow", 4, 0.0, worst,
                      "\"wirelength\":" + std::to_string(flow_wirelength));
-  }
-
-  // --- Cross-context negotiation: round-based vs net-interleaved -----------
-  // Identical congested multi-context workload, identical options except
-  // cross_context_mode.  The honest cost of a negotiation is the maze
-  // traffic of EVERY round/wave it ran, not just the kept one, so both
-  // sides sum NegotiationRoundStats over all entries.  The gate enforces
-  // the interleaved scheduler's contract: same or fewer cross-context
-  // conflicts, same or better worst critical switches, and — outside
-  // --smoke — at least 1.3x fewer total maze expansions than the
-  // round-based negotiator spends on the same problem.
-  {
-    using clock = std::chrono::steady_clock;
-    arch::FabricSpec spec;
-    spec.width = smoke ? 10 : 20;
-    spec.height = spec.width;
-    spec.channel_width = 8;
-    spec.double_length_tracks = 4;
-    const arch::RoutingGraph g(spec);
-    const std::size_t nets_per_context = smoke ? 60 : 200;
-    const auto nets = random_route_problem(g, 4, nets_per_context, 1234);
-
-    struct NegotiationRun {
-      double ms = 0.0;
-      std::size_t expansions = 0;  // summed over every round/wave
-      std::size_t pushes = 0;
-      route::RouteResult result;
-    };
-    const auto run_mode = [&](route::CrossContextMode mode) {
-      route::RouterOptions opts;
-      opts.num_threads = 1;
-      opts.cross_context_mode = mode;
-      const route::Router router(g, opts);
-      NegotiationRun run;
-      const clock::time_point start = clock::now();
-      run.result = router.route(nets);
-      run.ms =
-          std::chrono::duration<double>(clock::now() - start).count() * 1e3;
-      for (const auto& s : run.result.negotiation_stats) {
-        run.expansions += s.nodes_expanded;
-        run.pushes += s.heap_pushes;
-      }
-      return run;
-    };
-
-    const NegotiationRun rounds = run_mode(route::CrossContextMode::kNegotiated);
-    const NegotiationRun inter = run_mode(route::CrossContextMode::kInterleaved);
-
-    Table nt({"scheduler", "route (ms)", "rounds/waves", "total expansions",
-              "total pushes", "conflicts", "worst switches"});
-    for (const auto* r : {&rounds, &inter}) {
-      const bool is_inter = r == &inter;
-      nt.add_row({is_inter ? "net-interleaved queue" : "whole-context rounds",
-                  fmt_double(r->ms, 2),
-                  std::to_string(r->result.negotiation_stats.size()),
-                  fmt_count(r->expansions), fmt_count(r->pushes),
-                  std::to_string(total_of(
-                      r->result,
-                      &route::ContextRouteSummary::cross_context_conflicts)),
-                  std::to_string(worst_switches(r->result))});
-      bench::json_line(
-          is_inter ? "routing_negotiation_interleaved"
-                   : "routing_negotiation_rounds",
-          4 * nets_per_context, r->ms, static_cast<double>(r->expansions),
-          "\"heap_pushes\":" + std::to_string(r->pushes) +
-              ",\"entries\":" +
-              std::to_string(r->result.negotiation_stats.size()) +
-              ",\"conflicts\":" +
-              std::to_string(total_of(
-                  r->result,
-                  &route::ContextRouteSummary::cross_context_conflicts)) +
-              ",\"worst_switches\":" +
-              std::to_string(worst_switches(r->result)));
-    }
-    // Per-wave trace of the interleaved run: how fast the dirty set drains.
-    for (const auto& s : inter.result.negotiation_stats) {
-      bench::json_line(
-          "routing_negotiation_wave", s.round, s.seconds * 1e3,
-          static_cast<double>(s.nodes_expanded),
-          "\"rerouted\":" + std::to_string(s.nets_rerouted) +
-              ",\"requeued\":" + std::to_string(s.nets_requeued) +
-              ",\"conflicts\":" + std::to_string(s.conflicts) +
-              ",\"kept\":" + (s.kept ? std::string("true")
-                                     : std::string("false")));
-    }
-    std::cout << "\ncross-context negotiation comparison (serial, congested "
-                 "random workload):\n";
-    nt.print(std::cout);
-    const double reduction =
-        inter.expansions > 0
-            ? static_cast<double>(rounds.expansions) /
-                  static_cast<double>(inter.expansions)
-            : 0.0;
-    std::cout << "maze-expansion reduction (rounds / interleaved): "
-              << fmt_double(reduction, 2) << "x\n";
-    bench::json_line("routing_negotiation_reduction", 4 * nets_per_context,
-                     0.0, reduction);
-
-    if (!rounds.result.success || !inter.result.success) {
-      std::cout << "FAIL: negotiation comparison workload did not converge\n";
-      return 1;
-    }
-    const std::size_t cf_rounds = total_of(
-        rounds.result, &route::ContextRouteSummary::cross_context_conflicts);
-    const std::size_t cf_inter = total_of(
-        inter.result, &route::ContextRouteSummary::cross_context_conflicts);
-    const std::size_t ws_rounds = worst_switches(rounds.result);
-    const std::size_t ws_inter = worst_switches(inter.result);
-    if (cf_inter > cf_rounds) {
-      std::cout << "FAIL: interleaved scheduler left more conflicts ("
-                << cf_inter << " vs " << cf_rounds << ")\n";
-      return 1;
-    }
-    if (ws_inter > ws_rounds) {
-      std::cout << "FAIL: interleaved scheduler worse on worst critical "
-                   "switches ("
-                << ws_inter << " vs " << ws_rounds << ")\n";
-      return 1;
-    }
-    if (!smoke && reduction < 1.3) {
-      std::cout << "FAIL: interleaved expansion reduction "
-                << fmt_double(reduction, 2) << "x below the 1.3x gate\n";
-      return 1;
-    }
-  }
-
-  // --- Speculative parallel drain: interleave_workers scaling --------------
-  // Same congested workload, kInterleaved throughout; only the drain
-  // worker count varies.  The contract is absolute: every worker count
-  // must produce a bit-identical routed state (FNV fingerprint over all
-  // routed paths, hard FAIL on any mismatch) with identical speculation
-  // hit/abort counters for every parallel count — the parallelism may
-  // only buy wall-clock time.  Outside --smoke, on hardware with at
-  // least 4 cores, the 4-worker wave drain must be >= 1.4x faster than
-  // the sequential single-worker drain.
-  {
-    using clock = std::chrono::steady_clock;
-    arch::FabricSpec spec;
-    spec.width = smoke ? 10 : 20;
-    spec.height = spec.width;
-    spec.channel_width = 8;
-    spec.double_length_tracks = 4;
-    const arch::RoutingGraph g(spec);
-    const std::size_t nets_per_context = smoke ? 60 : 200;
-    const auto nets = random_route_problem(g, 4, nets_per_context, 1234);
-
-    struct ScaleRun {
-      double drain_ms = 0.0;  // wave entries only; the baseline round is
-                              // identical work for every worker count
-      double total_ms = 0.0;
-      std::uint64_t fingerprint = 0;
-      std::size_t expansions = 0;
-      std::size_t spec_hits = 0;
-      std::size_t spec_aborts = 0;
-      std::size_t rerouted = 0;
-      std::size_t entries = 0;
-    };
-    const auto run_workers = [&](std::size_t w) {
-      route::RouterOptions opts;
-      opts.num_threads = 1;
-      opts.cross_context_mode = route::CrossContextMode::kInterleaved;
-      opts.interleave_workers = w;
-      const route::Router router(g, opts);
-      ScaleRun run;
-      const clock::time_point start = clock::now();
-      const route::RouteResult result = router.route(nets);
-      run.total_ms =
-          std::chrono::duration<double>(clock::now() - start).count() * 1e3;
-      run.entries = result.negotiation_stats.size();
-      for (std::size_t r = 0; r < result.negotiation_stats.size(); ++r) {
-        const auto& s = result.negotiation_stats[r];
-        run.expansions += s.nodes_expanded;
-        run.spec_hits += s.spec_hits;
-        run.spec_aborts += s.spec_aborts;
-        run.rerouted += s.nets_rerouted;
-        if (r > 0) {
-          run.drain_ms += s.seconds * 1e3;
-        }
-      }
-      // FNV-1a over every routed path: any divergence in what was
-      // committed shows up here.
-      std::uint64_t h = 1469598103934665603ull;
-      const auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 1099511628211ull;
-      };
-      for (const auto& per_context : result.nets) {
-        for (const auto& net : per_context) {
-          mix(static_cast<std::uint64_t>(net.source));
-          for (const auto& path : net.paths) {
-            mix(static_cast<std::uint64_t>(path.sink));
-            for (const auto e : path.edges) {
-              mix(static_cast<std::uint64_t>(e));
-            }
-          }
-        }
-      }
-      run.fingerprint = h;
-      return run;
-    };
-
-    std::vector<std::size_t> worker_counts{1, 2, 4};
-    if (!smoke) {
-      worker_counts.push_back(8);
-    }
-    std::vector<ScaleRun> runs;
-    Table st({"workers", "drain (ms)", "total (ms)", "spec hits",
-              "spec aborts", "rerouted", "fingerprint"});
-    for (const std::size_t w : worker_counts) {
-      runs.push_back(run_workers(w));
-      const ScaleRun& r = runs.back();
-      char fp[20];
-      std::snprintf(fp, sizeof(fp), "%016llx",
-                    static_cast<unsigned long long>(r.fingerprint));
-      st.add_row({std::to_string(w), fmt_double(r.drain_ms, 2),
-                  fmt_double(r.total_ms, 2), fmt_count(r.spec_hits),
-                  fmt_count(r.spec_aborts), fmt_count(r.rerouted), fp});
-      bench::json_line(
-          "routing_interleave_scale", w, r.drain_ms,
-          static_cast<double>(r.expansions),
-          "\"spec_hits\":" + std::to_string(r.spec_hits) +
-              ",\"spec_aborts\":" + std::to_string(r.spec_aborts) +
-              ",\"rerouted\":" + std::to_string(r.rerouted) +
-              ",\"entries\":" + std::to_string(r.entries) +
-              ",\"fingerprint\":\"" + fp + "\"");
-    }
-    std::cout << "\nspeculative drain scaling (kInterleaved, congested "
-                 "random workload):\n";
-    st.print(std::cout);
-
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      if (runs[i].fingerprint != runs[0].fingerprint) {
-        std::cout << "FAIL: " << worker_counts[i]
-                  << "-worker drain diverged from the sequential drain\n";
-        return 1;
-      }
-      if (runs[i].expansions != runs[0].expansions ||
-          runs[i].rerouted != runs[0].rerouted) {
-        std::cout << "FAIL: " << worker_counts[i]
-                  << "-worker drain changed the work counters\n";
-        return 1;
-      }
-      if (i >= 2 && (runs[i].spec_hits != runs[1].spec_hits ||
-                     runs[i].spec_aborts != runs[1].spec_aborts)) {
-        std::cout << "FAIL: speculation counters depend on the worker "
-                     "count\n";
-        return 1;
-      }
-    }
-    if (runs[0].spec_hits != 0 || runs[0].spec_aborts != 0) {
-      std::cout << "FAIL: single-worker drain speculated\n";
-      return 1;
-    }
-
-    const double speedup =
-        runs[2].drain_ms > 0.0 ? runs[0].drain_ms / runs[2].drain_ms : 0.0;
-    std::cout << "wave-drain speedup (1 worker / 4 workers): "
-              << fmt_double(speedup, 2) << "x\n";
-    bench::json_line("routing_interleave_speedup", 4 * nets_per_context, 0.0,
-                     0.0, "\"speedup\":" + fmt_double(speedup, 2));
-    // The speedup gate needs real cores; oversubscribed speculation still
-    // proves determinism above but cannot buy wall-clock time.
-    if (!smoke && std::thread::hardware_concurrency() >= 4 && speedup < 1.4) {
-      std::cout << "FAIL: 4-worker drain speedup " << fmt_double(speedup, 2)
-                << "x below the 1.4x gate\n";
-      return 1;
-    }
   }
   return 0;
 }

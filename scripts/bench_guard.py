@@ -5,9 +5,9 @@ Compares the BENCH_JSON lines of a fresh --smoke bench run against the
 "smoke_baseline" section of a pinned bench JSON file (BENCH_ROUTING.json,
 BENCH_FLOW.json, BENCH_INCREMENTAL.json, BENCH_SERVE.json,
 BENCH_PLACER.json).  The
-interesting counters — maze expansions, queue pushes, negotiation
-rounds/waves, conflicts, delta-path hits — are deterministic for the
-pinned seeds, so a drift outside the tolerance band means an
+interesting counters — maze expansions, queue pushes, wirelength,
+critical paths, delta-path hits — are deterministic for the pinned
+seeds, so a drift outside the tolerance band means an
 algorithmic change, not machine noise.  Each out-of-band message says
 whether the fresh value is above or below the pin and by how much (a
 percentage of the pin; an absolute difference for a pinned zero).

@@ -2,9 +2,9 @@
 # Single CI entry point: configure, build src/ with warnings-as-errors,
 # build tests/benches/examples, run the test suite, re-run it under
 # ASan+UBSan (a second cmake preset, including a routing bench smoke so
-# the interleaved scheduler's hot path runs sanitized), run the routing
-# and daemon smokes under ThreadSanitizer (a third preset — the
-# speculative drain and the compile service are the threaded paths),
+# the maze expansion's hot path runs sanitized), run the routing and
+# daemon smokes under ThreadSanitizer (a third preset — per-context
+# routing workers and the compile service are the threaded paths),
 # smoke the perf benches at tiny sizes so the hot paths are exercised,
 # not just compiled, and diff the smoke BENCH_JSON counters against the
 # pinned baselines (scripts/bench_guard.py) so queue-traffic and QoR
@@ -25,14 +25,14 @@ SAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$SAN_DIR" -S . -DMCFPGA_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$SAN_DIR" -j "$(nproc)"
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$(nproc)"
-echo "--- sanitizer bench smoke (maze expansion + both negotiation schedulers) ---"
+echo "--- sanitizer bench smoke (maze expansion) ---"
 "$SAN_DIR"/bench_routing_delay --smoke > /dev/null
 
 echo "--- sanitizer (TSan) bench smoke ---"
-# The routing smoke runs the speculative multi-worker drain (the
-# interleave-scaling section routes with 2 and 4 workers even on a
-# 1-core machine) and the daemon smoke runs the compile service's
-# worker threads — the two places real concurrency lives.
+# The routing smoke's serial-vs-parallel section routes contexts on one
+# worker per hardware thread (the router's only concurrency) and the
+# daemon smoke runs the compile service's worker threads — the two
+# places real concurrency lives.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DMCFPGA_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -238,13 +238,11 @@ NetlistDiff diff_netlists(const netlist::MultiContextNetlist& before,
                           const netlist::MultiContextNetlist& after) {
   NetlistDiff d;
   const std::size_t nc = std::max(before.num_contexts(), after.num_contexts());
-  d.changed_per_context.assign(nc, 0);
   for (std::size_t c = 0; c < nc; ++c) {
     if (c >= before.num_contexts() || c >= after.num_contexts()) {
       const netlist::Dfg& only = c < before.num_contexts()
                                      ? before.context(c)
                                      : after.context(c);
-      d.changed_per_context[c] = only.num_nodes();
       d.changed_nodes += only.num_nodes();
       d.total_nodes += only.num_nodes();
       continue;
@@ -270,7 +268,6 @@ NetlistDiff diff_netlists(const netlist::MultiContextNetlist& before,
         ++changed;
       }
     }
-    d.changed_per_context[c] = changed;
     d.changed_nodes += changed;
     d.total_nodes += std::max(a.num_nodes(), b.num_nodes());
   }
@@ -342,23 +339,6 @@ Compiled CompileService::compile_incremental(
     return fallback(previous, edited, options, "diff exceeds threshold",
                     observer);
   }
-  if (options.router.cross_context_mode != route::CrossContextMode::kOff) {
-    // A cross-context-negotiated design keeps its delta path only when
-    // the edit stays inside ONE context: the other contexts' negotiated
-    // trees then match verbatim and the partial re-route cannot disturb
-    // the cross-context bargain they struck.  An edit spanning contexts
-    // would silently drop the negotiation, so that takes the full
-    // pipeline instead.
-    std::size_t touched_contexts = 0;
-    for (const std::size_t changed : diff.changed_per_context) {
-      touched_contexts += changed > 0 ? 1 : 0;
-    }
-    if (touched_contexts > 1) {
-      return fallback(previous, edited, options,
-                      "negotiated multi-context edit", observer);
-    }
-  }
-
   // --- front-end (cheap, cached): techmap / sharing / planes / cluster ----
   core::FlowContext ctx =
       core::make_flow_context(edited, previous.spec, options);
@@ -550,7 +530,7 @@ Compiled CompileService::compile_incremental(
       }
       route::RouterCore::ContextResult pass = router_core.route_pass(
           sub_nets, options.router.timing_mode ? &sub_spec : nullptr,
-          nullptr, &pressure, nullptr);
+          nullptr, &pressure);
       if (!pass.converged) {
         return fallback(previous, edited, options,
                         "delta route did not converge", observer);

@@ -12,8 +12,8 @@
 // wires with a prohibitive congestion pressure so the partial route
 // composes with the kept trees (RouterCore::route_pass).  Any condition
 // the delta path cannot honor (big diff, changed options, resized fabric,
-// closure/negotiated flows, non-convergence, wire overlap) falls back to
-// a full — still cached — recompile, recorded in CacheStats::delta_fallback.
+// closure flows, non-convergence, wire overlap) falls back to a full —
+// still cached — recompile, recorded in CacheStats::delta_fallback.
 //
 // The delta path is single-threaded by construction, so its results are
 // deterministic for any worker-count setting; the full path inherits the
@@ -54,8 +54,6 @@ struct IncrementalOptions {
 struct NetlistDiff {
   std::size_t changed_nodes = 0;  ///< Summed over contexts.
   std::size_t total_nodes = 0;    ///< max(before, after), summed.
-  /// Changed (or added/removed) node count per context.
-  std::vector<std::size_t> changed_per_context;
   double fraction() const {
     return total_nodes == 0
                ? 0.0

@@ -82,16 +82,7 @@ std::uint64_t hash_compile_options(const core::CompileOptions& options) {
       .f64(r.criticality_exponent_schedule.start)
       .f64(r.criticality_exponent_schedule.step)
       .f64(r.criticality_exponent_schedule.max)
-      .f64(r.max_criticality)
-      .u64(static_cast<std::uint64_t>(r.cross_context_mode))
-      .size(r.cross_context_rounds)
-      .f64(r.cross_context_pressure_weight)
-      .f64(r.pressure_ramp)
-      .size(r.interleave_waves)
-      .f64(r.interleave_crit_quantum);
-  // interleave_workers and speculation_window skipped: the speculative
-  // drain commits a pure function of queue order, so routed state is
-  // bit-identical for any worker count or batch window.
+      .f64(r.max_criticality);
 
   h.f64(options.delay.se_delay)
       .f64(options.delay.lut_delay)

@@ -200,36 +200,16 @@ void ClosureLoopStage::run(FlowContext& ctx) const {
         place::place(build.problem, *ctx.graph, placer_options, &previous);
 
     // Re-route under the new placement: timing-driven, with the
-    // congestion history of every earlier iteration carried in.  Under
-    // negotiated cross-context routing the scheduler additionally gets
-    // per-context criticalities from the PREVIOUS iteration's STA: each
-    // context's critical path as a fraction of the worst context's
-    // (equivalently 1 - slack/budget under the shared budget), so the
-    // context with the least slack claims wires first and exports the
-    // strongest pressure.
+    // congestion history of every earlier iteration carried in.
     ctx.nets_per_context = build_route_nets(ctx);
     route::RouterOptions router_options = ctx.options.router;
     router_options.timing_mode = true;
-    std::vector<double> context_crit;
-    const std::vector<double>* context_crit_ptr = nullptr;
-    if (router_options.cross_context_mode !=
-        route::CrossContextMode::kOff) {
-      const double worst = worst_critical_path(ctx);
-      context_crit.resize(ctx.timing_reports.size());
-      for (std::size_t c = 0; c < ctx.timing_reports.size(); ++c) {
-        context_crit[c] =
-            worst > 0.0 ? ctx.timing_reports[c].critical_path / worst : 1.0;
-      }
-      context_crit_ptr = &context_crit;
-    }
     const route::Router router(*ctx.graph, router_options);
     if (!ctx.router_pool) {
       ctx.router_pool = std::make_shared<route::CorePool>();
     }
-    ctx.routing =
-        router.route(ctx.nets_per_context, &ctx.timing_specs,
-                     &ctx.route_history, context_crit_ptr,
-                     ctx.router_pool.get());
+    ctx.routing = router.route(ctx.nets_per_context, &ctx.timing_specs,
+                               &ctx.route_history, ctx.router_pool.get());
     if (!ctx.routing.success) {
       // A refine route that cannot converge is a failed experiment, not a
       // failed compile: keep the best iteration and stop.

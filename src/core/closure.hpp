@@ -16,13 +16,7 @@
 //   3. rebuilds the physical nets under the new placement
 //      (build_route_nets) and re-routes with the router's congestion
 //      history carried across iterations (route::RouteHistory) and
-//      timing_mode forced on — under cross_context_mode == kNegotiated
-//      the scheduler additionally receives per-context criticalities
-//      from the PREVIOUS iteration's STA (the re-route runs before this
-//      iteration's timing pass), each the context's critical path as a
-//      fraction of the worst context's — i.e. 1 - slack/budget under the
-//      shared budget — so the context with the least slack claims wires
-//      first;
+//      timing_mode forced on;
 //   4. re-runs the Timing stage and scores the iteration by worst slack
 //      against the iteration-1 critical-path budget.
 //

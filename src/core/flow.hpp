@@ -13,9 +13,7 @@
 //                     (optionally criticality-weighted, placer timing_mode);
 //   RouteStage      — PathFinder over the RRG (Sec. 3), contexts routed
 //                     in parallel with bit-identical-to-serial results
-//                     (optionally timing-driven, router timing_mode;
-//                     optionally cross-context negotiated, router
-//                     cross_context_mode — route/schedule.hpp);
+//                     (optionally timing-driven, router timing_mode);
 //   TimingStage     — per-context incremental STA over the routed design:
 //                     TimingReports + ContextStats critical paths;
 //   ProgramStage    — LUT plane tables, switch patterns, pad bindings,
@@ -94,10 +92,6 @@ struct ContextStats {
   std::size_t wire_nodes_used = 0;
   std::size_t switches_crossed = 0;  ///< Sum over all connections.
   double critical_path = 0.0;        ///< From the SE delay model.
-  /// Wire nodes this context shares with at least one other context
-  /// (route::ContextRouteSummary::cross_context_conflicts — what the
-  /// negotiated cross-context scheduler drives down).
-  std::size_t cross_context_conflicts = 0;
   /// Calendar-queue traffic of the kept routing pass (see
   /// route::ContextRouteSummary): queue pushes/pops, stale pops, and
   /// nodes actually expanded.  The benches emit these as BENCH_JSON and
@@ -112,19 +106,6 @@ struct ContextStats {
   /// differ only when the router reroutes a net it could have kept.
   std::size_t nets_invalidated = 0;
   std::size_t nets_rerouted = 0;
-  /// Interleaved cross-context scheduling only (CrossContextMode::
-  /// kInterleaved; 0 otherwise): nets of this context the merged worklist
-  /// ripped + re-routed, and nets re-enqueued because a peer's commit
-  /// changed their pressure (dirty-set churn).
-  std::size_t interleave_reroutes = 0;
-  std::size_t interleave_requeues = 0;
-  /// Speculative parallel drain of the interleaved worklist (both 0 when
-  /// `interleave_workers` resolves to one, or outside kInterleaved):
-  /// speculations committed as-is because their read-set still matched the
-  /// live state, and speculations discarded because a batch predecessor
-  /// invalidated them (the net was then re-routed live).
-  std::size_t spec_hits = 0;
-  std::size_t spec_aborts = 0;
 };
 
 /// Stage-cache and delta-recompile accounting of the compile that produced
@@ -154,7 +135,7 @@ struct CacheStats {
   /// recompile degraded to a full compile for it (accumulated by
   /// cache::CompileService across every compile_incremental call, so
   /// operators can see WHY the delta path keeps bailing, e.g.
-  /// "negotiated multi-context edit" dominating).  Printed by
+  /// "diff exceeds threshold" dominating).  Printed by
   /// core/report; empty when the service never fell back.
   std::map<std::string, std::size_t> delta_fallback_counts;
 };

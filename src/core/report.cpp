@@ -35,7 +35,7 @@ void print_design_report(std::ostream& os, const CompiledDesign& design) {
   t.print(os);
 
   Table ct({"context", "nets", "switches crossed", "critical path (SE units)",
-            "worst slack", "shared wires", "timing arcs"});
+            "worst slack", "timing arcs"});
   for (std::size_t c = 0; c < design.context_stats.size(); ++c) {
     const auto& s = design.context_stats[c];
     std::string slack = "-";
@@ -46,22 +46,9 @@ void print_design_report(std::ostream& os, const CompiledDesign& design) {
     }
     ct.add_row({std::to_string(c), fmt_count(s.nets),
                 fmt_count(s.switches_crossed),
-                fmt_double(s.critical_path, 1), slack,
-                fmt_count(s.cross_context_conflicts), arcs});
+                fmt_double(s.critical_path, 1), slack, arcs});
   }
   ct.print(os);
-
-  if (!design.routing.negotiation_stats.empty()) {
-    Table nt({"negotiation round", "conflicts", "worst switches",
-              "worst critical path", "ms", "kept"});
-    for (const auto& r : design.routing.negotiation_stats) {
-      nt.add_row({std::to_string(r.round), fmt_count(r.conflicts),
-                  fmt_count(r.worst_critical_switches),
-                  fmt_double(r.worst_critical_path, 1),
-                  fmt_double(r.seconds * 1e3, 2), r.kept ? "yes" : ""});
-    }
-    nt.print(os);
-  }
 
   if (!design.closure_stats.empty()) {
     Table cl({"closure iter", "critical path", "worst slack", "wirelength",

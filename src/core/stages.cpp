@@ -420,20 +420,13 @@ void RouteStage::run(FlowContext& ctx) const {
   // extra output does not perturb the routing itself.
   route::RouteHistory* history =
       ctx.options.closure_iterations >= 2 ? &ctx.route_history : nullptr;
-  // The cross-context schedulers (negotiated and interleaved) want the
-  // timing specs even with timing_mode off: they power the per-round /
-  // per-wave STA scoring (the timing-driven expansion cost stays gated on
-  // timing_mode inside the router either way).
-  const bool negotiated = ctx.options.router.cross_context_mode !=
-                          route::CrossContextMode::kOff;
   if (!ctx.router_pool) {
     ctx.router_pool = std::make_shared<route::CorePool>();
   }
   ctx.routing = router.route(
       ctx.nets_per_context,
-      ctx.options.router.timing_mode || negotiated ? &ctx.timing_specs
-                                                   : nullptr,
-      history, nullptr, ctx.router_pool.get());
+      ctx.options.router.timing_mode ? &ctx.timing_specs : nullptr, history,
+      ctx.router_pool.get());
   if (!ctx.routing.success) {
     throw FlowError("routing failed to converge (congestion)");
   }
@@ -470,15 +463,10 @@ void TimingStage::run(FlowContext& ctx) const {
     stats.wire_nodes_used = summary.wire_nodes_used;
     stats.switches_crossed = summary.switches_crossed;
     stats.critical_path = ctx.timing_reports[c].critical_path;
-    stats.cross_context_conflicts = summary.cross_context_conflicts;
     stats.heap_pushes = summary.heap_pushes;
     stats.heap_pops = summary.heap_pops;
     stats.stale_pops = summary.stale_pops;
     stats.nodes_expanded = summary.nodes_expanded;
-    stats.interleave_reroutes = summary.interleave_reroutes;
-    stats.interleave_requeues = summary.interleave_requeues;
-    stats.spec_hits = summary.spec_hits;
-    stats.spec_aborts = summary.spec_aborts;
   }
 }
 

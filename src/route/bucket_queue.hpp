@@ -26,14 +26,13 @@
 // rebases onto the smallest overflow cost and redistributes the overflow
 // in insertion order (FIFO preserved), so arbitrarily large costs — deep
 // upstream-delay seeds, heavily historied nodes — cost one extra pass,
-// not correctness.
-//
-// The calendar is generic over the payload: maze expansion queues
-// `arch::NodeId`s, while the interleaved cross-context scheduler queues
-// packed (context, net) keys ordered by 1 - criticality.  Both rely on the
-// same FIFO-within-bucket determinism argument.
+// not correctness.  Bucket indices are clamped at kMaxBucket (2^53
+// quanta): past it a double cannot resolve one quantum anyway, and the
+// clamp keeps huge or infinite costs (a runaway history or present
+// factor) from overflowing the integer cast.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -116,25 +115,19 @@ class CalendarQueue {
     }
   }
 
-  /// Deterministic batched multi-pop: fills `out` (cleared first) with up
-  /// to `max_n` items in exactly the order that many consecutive pop()
-  /// calls would return them, and returns the count.  The speculative
-  /// interleaved drain claims its commit window through this, so the
-  /// batch contents are a pure function of the push sequence — same FIFO
-  /// argument as pop(), independent of how many workers then speculate.
-  std::size_t pop_batch(std::size_t max_n, std::vector<Item>& out) {
-    out.clear();
-    while (out.size() < max_n && size_ > 0) {
-      out.push_back(pop());
-    }
-    return out.size();
-  }
-
  private:
+  /// Highest bucket index, 2^53: every integer up to it is a double, so
+  /// the cast below is exact and defined.
+  static constexpr double kMaxBucket = 9007199254740992.0;
+
   std::uint64_t quantize(double cost) const {
     // Costs are non-negative by construction; guard NaN/negative anyway so
     // a bad cost degrades to bucket 0 instead of undefined behavior.
-    return cost > 0.0 ? static_cast<std::uint64_t>(cost * inv_quantum_) : 0;
+    if (!(cost > 0.0)) {
+      return 0;
+    }
+    return static_cast<std::uint64_t>(
+        std::min(cost * inv_quantum_, kMaxBucket));
   }
 
   void place(std::uint64_t q, const Item& item) {

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <exception>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "route/router_core.hpp"
-#include "route/schedule.hpp"
 
 namespace mcfpga::route {
-
-namespace {
-
-using arch::EdgeId;
-using arch::NodeId;
-
-}  // namespace
 
 void RouteHistory::prepare(std::size_t num_contexts, std::size_t num_nodes) {
   per_context.resize(num_contexts);
@@ -53,78 +46,28 @@ config::Bitstream RouteResult::to_bitstream(
 }
 
 void RouterOptions::validate() const {
+  const CriticalityExponentSchedule& ramp = criticality_exponent_schedule;
   MCFPGA_REQUIRE(max_iterations > 0, "router needs at least one iteration");
+  MCFPGA_REQUIRE(std::isfinite(present_factor_growth),
+                 "present_factor_growth must be finite");
   MCFPGA_REQUIRE(present_factor_growth > 0.0,
                  "present_factor_growth must be positive");
+  MCFPGA_REQUIRE(std::isfinite(history_increment),
+                 "history_increment must be finite");
   MCFPGA_REQUIRE(history_increment >= 0.0,
                  "history_increment must be non-negative");
-  MCFPGA_REQUIRE(criticality_exponent_schedule.start > 0.0,
+  MCFPGA_REQUIRE(std::isfinite(ramp.start) && std::isfinite(ramp.step) &&
+                     std::isfinite(ramp.max),
+                 "criticality exponent schedule must be finite");
+  MCFPGA_REQUIRE(ramp.start > 0.0,
                  "criticality exponent schedule must start positive");
-  MCFPGA_REQUIRE(criticality_exponent_schedule.step >= 0.0,
+  MCFPGA_REQUIRE(ramp.step >= 0.0,
                  "criticality exponent schedule must be non-decreasing");
   MCFPGA_REQUIRE(
-      criticality_exponent_schedule.max >= criticality_exponent_schedule.start,
+      ramp.max >= ramp.start,
       "criticality exponent ceiling must be at least the start value");
   MCFPGA_REQUIRE(max_criticality >= 0.0 && max_criticality < 1.0,
                  "max_criticality must lie in [0, 1)");
-  MCFPGA_REQUIRE(cross_context_rounds >= 1,
-                 "cross-context negotiation needs at least one round");
-  MCFPGA_REQUIRE(cross_context_pressure_weight >= 0.0,
-                 "cross_context_pressure_weight must be non-negative");
-  MCFPGA_REQUIRE(pressure_ramp >= 0.0, "pressure_ramp must be non-negative");
-  MCFPGA_REQUIRE(interleave_waves >= 1,
-                 "interleaved scheduling needs at least one wave");
-  MCFPGA_REQUIRE(interleave_crit_quantum > 0.0 &&
-                     interleave_crit_quantum <= 1.0,
-                 "interleave_crit_quantum must lie in (0, 1]");
-  MCFPGA_REQUIRE(speculation_window >= 1,
-                 "speculative drain needs a window of at least one net");
-}
-
-std::vector<std::size_t> cross_context_conflicts(
-    const std::vector<std::vector<std::uint8_t>>& usage) {
-  const std::size_t num_contexts = usage.size();
-  const std::size_t num_nodes = num_contexts == 0 ? 0 : usage[0].size();
-  std::vector<std::uint16_t> count(num_nodes, 0);
-  for (std::size_t c = 0; c < num_contexts; ++c) {
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      count[n] = static_cast<std::uint16_t>(count[n] + (usage[c][n] != 0));
-    }
-  }
-  std::vector<std::size_t> conflicts(num_contexts, 0);
-  for (std::size_t c = 0; c < num_contexts; ++c) {
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      if (usage[c][n] != 0 && count[n] >= 2) {
-        ++conflicts[c];
-      }
-    }
-  }
-  return conflicts;
-}
-
-std::vector<std::size_t> cross_context_conflicts(
-    const arch::RoutingGraph& graph,
-    const std::vector<std::vector<RoutedNet>>& nets_per_context) {
-  const std::size_t num_nodes = graph.num_nodes();
-  const std::size_t num_contexts = nets_per_context.size();
-  // Rebuild the per-context wire-usage bitmaps from the routed trees
-  // (bitmaps deduplicate naturally: a node may sit on many paths of one
-  // tree) and delegate to the one true conflict count.
-  std::vector<std::vector<std::uint8_t>> usage(
-      num_contexts, std::vector<std::uint8_t>(num_nodes, 0));
-  for (std::size_t c = 0; c < num_contexts; ++c) {
-    for (const auto& net : nets_per_context[c]) {
-      for (const auto& path : net.paths) {
-        for (const EdgeId e : path.edges) {
-          const NodeId to = graph.edge(e).to;
-          if (graph.node(to).kind == arch::NodeKind::kWire) {
-            usage[c][static_cast<std::size_t>(to)] = 1;
-          }
-        }
-      }
-    }
-  }
-  return cross_context_conflicts(usage);
 }
 
 Router::Router(const arch::RoutingGraph& graph, RouterOptions options)
@@ -135,25 +78,14 @@ Router::Router(const arch::RoutingGraph& graph, RouterOptions options)
 RouteResult Router::route(
     const std::vector<std::vector<RouteNet>>& nets_per_context,
     const std::vector<timing::ContextTimingSpec>* timing,
-    RouteHistory* history, const std::vector<double>* context_criticality,
-    CorePool* pool) const {
+    RouteHistory* history, CorePool* pool) const {
   const std::size_t num_contexts = graph_.spec().num_contexts;
   MCFPGA_REQUIRE(nets_per_context.size() == num_contexts,
                  "net list must cover every context");
   MCFPGA_REQUIRE(timing == nullptr || timing->size() == num_contexts,
                  "timing specs must cover every context");
-  MCFPGA_REQUIRE(
-      context_criticality == nullptr ||
-          context_criticality->size() == num_contexts,
-      "context criticalities must cover every context");
   if (history != nullptr) {
     history->prepare(num_contexts, graph_.num_nodes());
-  }
-
-  if (options_.cross_context_mode != CrossContextMode::kOff) {
-    const ContextScheduler scheduler(graph_, options_);
-    return scheduler.route(nets_per_context, timing, history,
-                           context_criticality, pool);
   }
 
   std::vector<RouterCore::ContextResult> per_context(num_contexts);

@@ -125,17 +125,14 @@ double RouterCore::dist_of(std::size_t node) const {
 }
 
 void RouterCore::refresh_node_cost(std::size_t idx) {
-  // Cross-context pressure is a present-cost term: wires claimed by
-  // other (weighted by how critical) contexts look congested before this
-  // context ever touches them.  Null pressure = bit-identical to the
-  // independent router.  The expression and its operation order are the
-  // historical inline ones, so the cache is bit-neutral.
+  // Pressure is a present-cost term: pinned wires look congested before
+  // this pass ever touches them.  Null pressure adds nothing.  The
+  // expression and its operation order are the historical inline ones, so
+  // the cache is bit-neutral.
   double congestion = 1.0 + history_[idx] +
                       present_factor_ * static_cast<double>(occupancy_[idx]);
   if (pressure_of_ != nullptr) {
-    // pressure_scale_ is 1.0 outside interleaved sessions, and x * 1.0 is
-    // bit-exact — the scheduler's round-based modes stay bit-identical.
-    congestion += pressure_scale_ * pressure_of_[idx];
+    congestion += pressure_of_[idx];
   }
   node_cost_[idx] = base_cost_[idx] * congestion;
 }
@@ -188,14 +185,6 @@ bool RouterCore::expand_to_sink(const std::vector<arch::NodeId>& tree,
       }
       // Only the target sink may be entered among non-wire nodes.
       if (is_wire_[vi] == 0 && v != sink) {
-        continue;
-      }
-      // Interleaved sessions route exclusively: a node any peer net of
-      // this context occupies is off limits (the ripped net's own nodes
-      // are free — its occupancy was released before the re-route).  A
-      // no-op outside sessions: the flag is only set between
-      // session_begin and session_finish.
-      if (session_exclusive_ && occupancy_[vi] != 0) {
         continue;
       }
       // Nodes already in the net's tree are seeds, never targets:
@@ -254,15 +243,12 @@ RouterCore::TimingEngine& RouterCore::timing_engine(
 RouterCore::ContextResult RouterCore::route_pass(
     const std::vector<RouteNet>& nets,
     const timing::ContextTimingSpec* timing, std::vector<double>* history,
-    const std::vector<double>* pressure,
-    std::vector<std::uint8_t>* usage_out) {
+    const std::vector<double>* pressure) {
   const std::size_t num_nodes = graph_.num_nodes();
   MCFPGA_CHECK(scratch_nodes_ == num_nodes,
                "route_pass scratch must be graph-node-sized");
-  MCFPGA_CHECK(!session_active_,
-               "route_pass would clobber an active interleaved session");
   MCFPGA_REQUIRE(pressure == nullptr || pressure->size() == num_nodes,
-                 "cross-context pressure must be graph-node-sized");
+                 "route pressure must be graph-node-sized");
   pressure_of_ = pressure ? pressure->data() : nullptr;
   std::fill_n(occupancy_, num_nodes, 0);
   if (history != nullptr && history->size() == num_nodes) {
@@ -289,8 +275,8 @@ RouterCore::ContextResult RouterCore::route_pass(
   // topology is fixed for the whole negotiation; only switch counts — arc
   // delays — change between iterations, which is exactly the incremental
   // case TimingGraph::analyze() is built for.  The levelized engine is
-  // cached across passes (timing_engine), so negotiation rounds and
-  // closure iterations re-time instead of re-levelizing.
+  // cached across passes (timing_engine), so closure iterations re-time
+  // instead of re-levelizing.
   const bool timing_driven = options_.timing_mode && timing != nullptr;
   timing::ConnectionArcs* conn_arcs = nullptr;
   timing::TimingGraph* sta = nullptr;
@@ -474,17 +460,6 @@ RouterCore::ContextResult RouterCore::route_pass(
   if (history != nullptr) {
     history->assign(history_, history_ + num_nodes);
   }
-  if (usage_out != nullptr) {
-    // Final occupancy is exactly the set of nodes the committed trees
-    // hold; only wire nodes are exportable pressure (pins and pads are
-    // context-local endpoints, not shared fabric).
-    usage_out->assign(num_nodes, 0);
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      if (occupancy_[n] > 0 && is_wire_[n] != 0) {
-        (*usage_out)[n] = 1;
-      }
-    }
-  }
   pressure_of_ = nullptr;
   // On convergence the loop broke at index `iter`; otherwise the loop
   // condition already advanced iter to max_iterations.
@@ -499,496 +474,6 @@ RouterCore::ContextResult RouterCore::route_pass(
   return result;
 }
 
-void RouterCore::session_begin(const std::vector<RouteNet>& nets,
-                               const timing::ContextTimingSpec* timing,
-                               const std::vector<RoutedNet>& routed,
-                               const std::vector<double>* history_seed,
-                               const double* pressure_total,
-                               double pressure_scale) {
-  const std::size_t num_nodes = graph_.num_nodes();
-  MCFPGA_CHECK(scratch_nodes_ == num_nodes,
-               "session scratch must be graph-node-sized");
-  MCFPGA_CHECK(!session_active_, "session_begin on an armed session");
-  MCFPGA_REQUIRE(routed.size() == nets.size(),
-                 "adopted routing must parallel the input nets");
-
-  session_active_ = true;
-  session_exclusive_ = true;
-  session_input_ = &nets;
-  pressure_of_ = pressure_total;
-  pressure_scale_ = pressure_scale;
-  session_nets_ = routed;
-  session_result_ = {};
-  session_saved_paths_.clear();
-  session_saved_tree_.clear();
-
-  std::fill_n(occupancy_, num_nodes, 0);
-  if (history_seed != nullptr && history_seed->size() == num_nodes) {
-    // The baseline's final history prices wires consistently all session;
-    // sessions never write history (exclusion forbids overuse).
-    std::copy(history_seed->begin(), history_seed->end(), history_);
-  } else {
-    std::fill_n(history_, num_nodes, 0.0);
-  }
-  present_factor_ = 0.5;
-
-  if (epoch_ >= kEpochRewind || tree_epoch_ >= kEpochRewind) {
-    for (std::size_t i = 0; i < num_nodes; ++i) {
-      nodes_[i].dist_epoch = 0;
-      nodes_[i].tree_epoch = 0;
-    }
-    epoch_ = 0;
-    tree_epoch_ = 0;
-  }
-
-  // Rebuild each net's tree-node set (source + every path edge target,
-  // deduplicated with a tree-epoch mark) and the occupancy/owner maps the
-  // exclusive expansion and the dirty-set propagation read.
-  session_owner_.assign(num_nodes, -1);
-  session_tree_.assign(nets.size(), {});
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    std::vector<NodeId>& tree = session_tree_[i];
-    tree.push_back(nets[i].source);
-    ++tree_epoch_;
-    nodes_[static_cast<std::size_t>(nets[i].source)].tree_epoch = tree_epoch_;
-    for (const RoutedPath& path : session_nets_[i].paths) {
-      for (const EdgeId e : path.edges) {
-        const NodeId v = graph_.edge(e).to;
-        const std::size_t vi = static_cast<std::size_t>(v);
-        if (nodes_[vi].tree_epoch != tree_epoch_) {
-          nodes_[vi].tree_epoch = tree_epoch_;
-          tree.push_back(v);
-        }
-      }
-    }
-    for (const NodeId n : tree) {
-      const std::size_t ni = static_cast<std::size_t>(n);
-      ++occupancy_[ni];
-      if (is_wire_[ni] != 0) {
-        session_owner_[ni] = static_cast<std::int32_t>(i);
-      }
-    }
-  }
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    refresh_node_cost(n);
-  }
-
-  // Freeze per-connection criticalities from an STA of the ADOPTED switch
-  // counts — the post-baseline timing picture orders the merged queue and
-  // blends each re-route's expansion cost.  Untimed sessions treat every
-  // net as fully critical (ordering falls back to push order).
-  session_net_crit_.assign(nets.size(), 1.0);
-  session_timing_ = nullptr;
-  session_arcs_ = nullptr;
-  if (options_.timing_mode && timing != nullptr) {
-    MCFPGA_REQUIRE(timing->nets.size() == nets.size(),
-                   "timing spec must parallel the context's net list");
-    TimingEngine& engine = timing_engine(*timing);
-    session_timing_ = timing;
-    session_arcs_ = &engine.arcs;
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      const auto& paths = session_nets_[i].paths;
-      MCFPGA_REQUIRE(timing->nets[i].sinks.size() == paths.size(),
-                     "timing spec sinks must parallel the adopted paths");
-      for (std::size_t j = 0; j < paths.size(); ++j) {
-        engine.arcs.set_connection_switches(
-            engine.sta, engine.arcs.connection(i, j), paths[j].switch_count());
-      }
-    }
-    engine.sta.analyze();
-    const RouterOptions::CriticalityExponentSchedule& s =
-        options_.criticality_exponent_schedule;
-    const double exponent = std::min(s.max, s.start);
-    crit_.assign(engine.arcs.num_connections(), 0.0);
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      double net_crit = 0.0;
-      for (std::size_t j = 0; j < session_nets_[i].paths.size(); ++j) {
-        const std::size_t conn = engine.arcs.connection(i, j);
-        double c = engine.arcs.connection_criticality(engine.sta, conn);
-        if (exponent != 1.0) {
-          c = std::pow(c, exponent);
-        }
-        c = std::min(c, options_.max_criticality);
-        crit_[conn] = c;
-        net_crit = std::max(net_crit, c);
-      }
-      session_net_crit_[i] = net_crit;
-    }
-  }
-  arm_queue(session_timing_);
-}
-
-void RouterCore::session_rip_net(std::size_t i,
-                                 std::vector<arch::NodeId>& freed_wires) {
-  MCFPGA_CHECK(session_active_, "session_rip_net without session_begin");
-  freed_wires.clear();
-  session_saved_index_ = i;
-  session_saved_paths_ = std::move(session_nets_[i].paths);
-  session_saved_tree_ = std::move(session_tree_[i]);
-  session_nets_[i].paths.clear();
-  session_tree_[i].clear();
-  for (const NodeId n : session_saved_tree_) {
-    const std::size_t ni = static_cast<std::size_t>(n);
-    --occupancy_[ni];
-    refresh_node_cost(ni);
-    if (is_wire_[ni] != 0) {
-      session_owner_[ni] = -1;
-      freed_wires.push_back(n);
-    }
-  }
-}
-
-bool RouterCore::session_route_net(std::size_t i,
-                                   std::vector<arch::NodeId>& gained_wires) {
-  MCFPGA_CHECK(session_active_, "session_route_net without session_begin");
-  gained_wires.clear();
-  const RouteNet& net = (*session_input_)[i];
-
-  RoutedNet fresh;
-  fresh.name = net.name;
-  fresh.source = net.source;
-  std::vector<NodeId> tree;
-  tree.push_back(net.source);
-  ++tree_epoch_;
-  nodes_[static_cast<std::size_t>(net.source)].tree_epoch = tree_epoch_;
-  nodes_[static_cast<std::size_t>(net.source)].depth = 0;
-
-  for (std::size_t j = 0; j < net.sinks.size(); ++j) {
-    const NodeId sink = net.sinks[j];
-    double cong_scale = 1.0;
-    double delay_term = 0.0;
-    if (session_arcs_ != nullptr) {
-      const double c = crit_[session_arcs_->connection(i, j)];
-      cong_scale = 1.0 - c;
-      delay_term = c * session_timing_->se_delay;
-    }
-    if (!expand_to_sink(tree, sink, cong_scale, delay_term,
-                        session_result_)) {
-      // Blocked under exclusion (the peer nets hold every remaining
-      // corridor).  Nothing was committed; the caller restores the old
-      // tree and keeps the baseline routing for this net.
-      return false;
-    }
-    RoutedPath path;
-    path.sink = sink;
-    NodeId cur = sink;
-    while (nodes_[static_cast<std::size_t>(cur)].prev != -1) {
-      const EdgeId e = nodes_[static_cast<std::size_t>(cur)].prev;
-      path.edges.push_back(e);
-      if (graph_.rr_switch(graph_.edge(e).sw).owner == SwitchOwner::kDiamond) {
-        ++path.diamond_count;
-      }
-      cur = graph_.edge(e).from;
-    }
-    std::reverse(path.edges.begin(), path.edges.end());
-    for (const EdgeId e : path.edges) {
-      const NodeId v = graph_.edge(e).to;
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (nodes_[vi].tree_epoch != tree_epoch_) {
-        nodes_[vi].tree_epoch = tree_epoch_;
-        nodes_[vi].depth =
-            nodes_[static_cast<std::size_t>(graph_.edge(e).from)].depth + 1;
-        tree.push_back(v);
-      }
-    }
-    fresh.paths.push_back(std::move(path));
-  }
-
-  for (const NodeId n : tree) {
-    const std::size_t ni = static_cast<std::size_t>(n);
-    ++occupancy_[ni];
-    refresh_node_cost(ni);
-    if (is_wire_[ni] != 0) {
-      session_owner_[ni] = static_cast<std::int32_t>(i);
-      gained_wires.push_back(n);
-    }
-  }
-  session_nets_[i] = std::move(fresh);
-  session_tree_[i] = std::move(tree);
-  return true;
-}
-
-void RouterCore::session_restore_net(std::size_t i) {
-  MCFPGA_CHECK(session_active_ && session_saved_index_ == i,
-               "session_restore_net must undo the most recent rip");
-  session_nets_[i].paths = std::move(session_saved_paths_);
-  session_tree_[i] = std::move(session_saved_tree_);
-  session_saved_paths_.clear();
-  session_saved_tree_.clear();
-  for (const NodeId n : session_tree_[i]) {
-    const std::size_t ni = static_cast<std::size_t>(n);
-    ++occupancy_[ni];
-    refresh_node_cost(ni);
-    if (is_wire_[ni] != 0) {
-      session_owner_[ni] = static_cast<std::int32_t>(i);
-    }
-  }
-}
-
-void RouterCore::session_refresh_pressure(
-    const std::vector<arch::NodeId>& nodes) {
-  MCFPGA_CHECK(session_active_, "session_refresh_pressure without a session");
-  for (const NodeId n : nodes) {
-    refresh_node_cost(static_cast<std::size_t>(n));
-  }
-}
-
-RouterCore::ContextResult RouterCore::session_finish() {
-  MCFPGA_CHECK(session_active_, "session_finish without session_begin");
-  ContextResult out = std::move(session_result_);
-  session_result_ = {};
-  session_active_ = false;
-  session_exclusive_ = false;
-  session_input_ = nullptr;
-  session_timing_ = nullptr;
-  session_arcs_ = nullptr;
-  pressure_of_ = nullptr;
-  pressure_scale_ = 1.0;
-  return out;
-}
-
-bool RouterCore::spec_expand_to_sink(const RouterCore& src,
-                                     const std::vector<arch::NodeId>& tree,
-                                     arch::NodeId sink, double cong_scale,
-                                     double delay_term, SpecResult& out) {
-  const std::vector<std::size_t>& offsets = graph_.csr_offsets();
-  const std::vector<EdgeId>& csr_edges = graph_.csr_edges();
-  const std::vector<NodeId>& csr_targets = graph_.csr_targets();
-
-  ++epoch_;
-  bucket_.clear();
-  for (const NodeId t : tree) {
-    const std::size_t ti = static_cast<std::size_t>(t);
-    NodeState& s = nodes_[ti];
-    const double seed = delay_term * static_cast<double>(s.depth);
-    s.dist = seed;
-    s.prev = -1;
-    s.dist_epoch = epoch_;
-    bucket_.push(seed, t);
-    ++out.heap_pushes;
-  }
-  while (!bucket_.empty()) {
-    const auto item = bucket_.pop();
-    ++out.heap_pops;
-    const std::size_t u = static_cast<std::size_t>(item.value);
-    if (item.cost > dist_of(u)) {
-      ++out.stale_pops;
-      continue;
-    }
-    if (item.value == sink) {
-      return true;
-    }
-    if (is_wire_[u] == 0 && item.cost != 0.0) {
-      continue;
-    }
-    ++out.nodes_expanded;
-    const std::size_t end = offsets[u + 1];
-    for (std::size_t at = offsets[u]; at < end; ++at) {
-      const NodeId v = csr_targets[at];
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (at + 1 < end) {
-        const std::size_t ni = static_cast<std::size_t>(csr_targets[at + 1]);
-        MCFPGA_PREFETCH(&src.node_cost_[ni]);
-        MCFPGA_PREFETCH(&nodes_[ni]);
-      }
-      if (is_wire_[vi] == 0 && v != sink) {
-        continue;
-      }
-      // Exclusion against the SESSION's occupancy, seen through the
-      // virtual rip and recorded for commit-time validation.  Sessions
-      // always route exclusively, so this mirrors expand_to_sink's
-      // session_exclusive_ branch unconditionally.
-      const int occ =
-          spec_mark_[vi] == spec_epoch_ ? spec_occ_[vi] : src.occupancy_[vi];
-      if (read_mark_[vi] != spec_epoch_) {
-        read_mark_[vi] = spec_epoch_;
-        read_slot_[vi] = static_cast<std::uint32_t>(out.reads.size());
-        out.reads.push_back(SpecRead{v, occ, 0, 0.0});
-      }
-      if (occ != 0) {
-        continue;
-      }
-      NodeState& sv = nodes_[vi];
-      if (sv.tree_epoch == tree_epoch_) {
-        continue;
-      }
-      const double vc =
-          spec_mark_[vi] == spec_epoch_ ? spec_cost_[vi] : src.node_cost_[vi];
-      {
-        SpecRead& r = out.reads[read_slot_[vi]];
-        r.cost_read = 1;
-        r.cost = vc;
-      }
-      const double nd = item.cost + cong_scale * vc + delay_term;
-      if (nd < (sv.dist_epoch == epoch_ ? sv.dist : kInf)) {
-        sv.dist = nd;
-        sv.prev = csr_edges[at];
-        sv.dist_epoch = epoch_;
-        bucket_.push(nd, v);
-        ++out.heap_pushes;
-        MCFPGA_PREFETCH(&csr_targets[offsets[vi]]);
-      }
-    }
-  }
-  return false;
-}
-
-void RouterCore::speculate_route(const RouterCore& session, std::size_t i,
-                                 const std::vector<SpecOverlay>& overlay,
-                                 SpecResult& out) {
-  const std::size_t num_nodes = graph_.num_nodes();
-  MCFPGA_CHECK(&graph_ == &session.graph_,
-               "speculation engine and session must share one graph");
-  MCFPGA_CHECK(session.session_active_,
-               "speculate_route needs an armed session");
-  MCFPGA_CHECK(!session_active_,
-               "a speculation engine cannot itself hold a session");
-  MCFPGA_CHECK(scratch_nodes_ == num_nodes,
-               "speculation scratch must be graph-node-sized");
-
-  out.found = false;
-  out.net = RoutedNet{};
-  out.tree.clear();
-  out.reads.clear();
-  out.heap_pushes = 0;
-  out.heap_pops = 0;
-  out.stale_pops = 0;
-  out.nodes_expanded = 0;
-
-  if (spec_mark_.size() != num_nodes) {
-    spec_mark_.assign(num_nodes, 0);
-    read_mark_.assign(num_nodes, 0);
-    spec_occ_.assign(num_nodes, 0);
-    spec_cost_.assign(num_nodes, 0.0);
-    read_slot_.assign(num_nodes, 0);
-    spec_epoch_ = 0;
-  }
-  if (spec_epoch_ >= kEpochRewind) {
-    std::fill(spec_mark_.begin(), spec_mark_.end(), 0u);
-    std::fill(read_mark_.begin(), read_mark_.end(), 0u);
-    spec_epoch_ = 0;
-  }
-  ++spec_epoch_;
-
-  // Virtual rip: the net's own tree nodes look exactly as a real
-  // session_rip_net + pressure patch-down would leave them — occupancy
-  // down one, cost re-derived with refresh_node_cost's expression and
-  // operation order against the post-rip pressure the scheduler computed.
-  for (const SpecOverlay& o : overlay) {
-    const std::size_t ni = static_cast<std::size_t>(o.node);
-    const int occ = session.occupancy_[ni] - 1;
-    double congestion = 1.0 + session.history_[ni] +
-                        session.present_factor_ * static_cast<double>(occ);
-    if (session.pressure_of_ != nullptr) {
-      congestion += session.pressure_scale_ * o.pressure;
-    }
-    spec_mark_[ni] = spec_epoch_;
-    spec_occ_[ni] = occ;
-    spec_cost_[ni] = session.base_cost_[ni] * congestion;
-  }
-
-  if (epoch_ >= kEpochRewind || tree_epoch_ >= kEpochRewind) {
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      nodes_[n].dist_epoch = 0;
-      nodes_[n].tree_epoch = 0;
-    }
-    epoch_ = 0;
-    tree_epoch_ = 0;
-  }
-  // Price the expansion exactly as the session's own re-route would.
-  arm_queue(session.session_timing_);
-
-  const RouteNet& net = (*session.session_input_)[i];
-  out.net.name = net.name;
-  out.net.source = net.source;
-  std::vector<NodeId>& tree = out.tree;
-  tree.push_back(net.source);
-  ++tree_epoch_;
-  nodes_[static_cast<std::size_t>(net.source)].tree_epoch = tree_epoch_;
-  nodes_[static_cast<std::size_t>(net.source)].depth = 0;
-
-  for (std::size_t j = 0; j < net.sinks.size(); ++j) {
-    const NodeId sink = net.sinks[j];
-    double cong_scale = 1.0;
-    double delay_term = 0.0;
-    if (session.session_arcs_ != nullptr) {
-      const double c = session.crit_[session.session_arcs_->connection(i, j)];
-      cong_scale = 1.0 - c;
-      delay_term = c * session.session_timing_->se_delay;
-    }
-    if (!spec_expand_to_sink(session, tree, sink, cong_scale, delay_term,
-                             out)) {
-      return;  // out.found stays false; the read-set stays complete
-    }
-    RoutedPath path;
-    path.sink = sink;
-    NodeId cur = sink;
-    while (nodes_[static_cast<std::size_t>(cur)].prev != -1) {
-      const EdgeId e = nodes_[static_cast<std::size_t>(cur)].prev;
-      path.edges.push_back(e);
-      if (graph_.rr_switch(graph_.edge(e).sw).owner == SwitchOwner::kDiamond) {
-        ++path.diamond_count;
-      }
-      cur = graph_.edge(e).from;
-    }
-    std::reverse(path.edges.begin(), path.edges.end());
-    for (const EdgeId e : path.edges) {
-      const NodeId v = graph_.edge(e).to;
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (nodes_[vi].tree_epoch != tree_epoch_) {
-        nodes_[vi].tree_epoch = tree_epoch_;
-        nodes_[vi].depth =
-            nodes_[static_cast<std::size_t>(graph_.edge(e).from)].depth + 1;
-        tree.push_back(v);
-      }
-    }
-    out.net.paths.push_back(std::move(path));
-  }
-  out.found = true;
-}
-
-bool RouterCore::session_validate_reads(
-    const std::vector<SpecRead>& reads) const {
-  MCFPGA_CHECK(session_active_, "session_validate_reads without a session");
-  for (const SpecRead& r : reads) {
-    const std::size_t ni = static_cast<std::size_t>(r.node);
-    if (occupancy_[ni] != r.occupancy) {
-      return false;
-    }
-    if (r.cost_read != 0 && node_cost_[ni] != r.cost) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void RouterCore::session_fold_spec_counters(const SpecResult& spec) {
-  MCFPGA_CHECK(session_active_, "session_fold_spec_counters without a session");
-  session_result_.heap_pushes += spec.heap_pushes;
-  session_result_.heap_pops += spec.heap_pops;
-  session_result_.stale_pops += spec.stale_pops;
-  session_result_.nodes_expanded += spec.nodes_expanded;
-}
-
-void RouterCore::session_adopt_route(std::size_t i, SpecResult&& spec,
-                                     std::vector<arch::NodeId>& gained_wires) {
-  MCFPGA_CHECK(session_active_ && spec.found,
-               "session_adopt_route needs an armed session and a found route");
-  session_fold_spec_counters(spec);
-  gained_wires.clear();
-  for (const NodeId n : spec.tree) {
-    const std::size_t ni = static_cast<std::size_t>(n);
-    ++occupancy_[ni];
-    refresh_node_cost(ni);
-    if (is_wire_[ni] != 0) {
-      session_owner_[ni] = static_cast<std::int32_t>(i);
-      gained_wires.push_back(n);
-    }
-  }
-  session_nets_[i] = std::move(spec.net);
-  session_tree_[i] = std::move(spec.tree);
-}
-
 void CorePool::prepare(std::size_t count, const arch::RoutingGraph& graph,
                        const RouterOptions& options) {
   if (slots_.size() < count) {
@@ -999,11 +484,6 @@ void CorePool::prepare(std::size_t count, const arch::RoutingGraph& graph,
     if (!slot.arena) {
       slot.arena = std::make_unique<common::ScratchArena>();
     }
-    if (!slot.in_use) {
-      slot.in_use = std::make_unique<std::atomic<bool>>(false);
-    }
-    MCFPGA_CHECK(!slot.in_use->load(std::memory_order_acquire),
-                 "prepare would rebuild a checked-out engine");
     if (slot.core && &slot.core->graph() == &graph &&
         slot.core->options() == options) {
       continue;  // warm core, same job shape: reuse as-is
@@ -1011,21 +491,6 @@ void CorePool::prepare(std::size_t count, const arch::RoutingGraph& graph,
     slot.core.reset();  // release before the ctor resets the arena
     slot.core = std::make_unique<RouterCore>(graph, options, slot.arena.get());
   }
-}
-
-RouterCore& CorePool::checkout(std::size_t slot) {
-  MCFPGA_CHECK(slot < slots_.size() && slots_[slot].core != nullptr,
-               "checkout of an unprepared pool slot");
-  MCFPGA_CHECK(!slots_[slot].in_use->exchange(true, std::memory_order_acq_rel),
-               "double checkout of a CorePool engine slot");
-  return *slots_[slot].core;
-}
-
-void CorePool::release(std::size_t slot) {
-  MCFPGA_CHECK(slot < slots_.size() && slots_[slot].core != nullptr,
-               "release of an unprepared pool slot");
-  MCFPGA_CHECK(slots_[slot].in_use->exchange(false, std::memory_order_acq_rel),
-               "release of an engine slot that was not checked out");
 }
 
 RouteResult merge_context_results(
@@ -1060,11 +525,6 @@ RouteResult merge_context_results(
     result.context_summary[c].stale_pops = ctx.stale_pops;
     result.context_summary[c].nodes_expanded = ctx.nodes_expanded;
     result.nets[c] = std::move(ctx.nets);
-  }
-  const std::vector<std::size_t> conflicts =
-      cross_context_conflicts(graph, result.nets);
-  for (std::size_t c = 0; c < num_contexts; ++c) {
-    result.context_summary[c].cross_context_conflicts = conflicts[c];
   }
   return result;
 }

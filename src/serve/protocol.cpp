@@ -218,19 +218,8 @@ std::string encode_request(const CompileRequest& request) {
   const core::CompileOptions& o = request.options;
   os << "options " << o.seed << ' ' << o.closure_iterations << ' '
      << (o.auto_size ? 1 : 0) << ' ' << (o.placer.timing_mode ? 1 : 0)
-     << ' ' << (o.router.timing_mode ? 1 : 0) << ' ';
-  switch (o.router.cross_context_mode) {
-    case route::CrossContextMode::kOff:
-      os << "off";
-      break;
-    case route::CrossContextMode::kNegotiated:
-      os << "negotiated";
-      break;
-    case route::CrossContextMode::kInterleaved:
-      os << "interleaved";
-      break;
-  }
-  os << ' ' << o.placer.num_threads << ' ' << o.router.num_threads << '\n';
+     << ' ' << (o.router.timing_mode ? 1 : 0) << ' ' << o.placer.num_threads
+     << ' ' << o.router.num_threads << '\n';
   append_blob(os, "netlist_bytes", request.netlist_text);
   os << "end\n";
   return os.str();
@@ -296,11 +285,11 @@ CompileRequest decode_request(const std::string& payload) {
       r.fail("expected 'options', got '" + k + "'");
     }
     std::istringstream os(rest);
-    std::string seed, closure, auto_size, ptiming, rtiming, ccm, pthreads,
+    std::string seed, closure, auto_size, ptiming, rtiming, pthreads,
         rthreads;
-    if (!(os >> seed >> closure >> auto_size >> ptiming >> rtiming >> ccm >>
+    if (!(os >> seed >> closure >> auto_size >> ptiming >> rtiming >>
           pthreads >> rthreads)) {
-      r.fail("options line needs 8 fields");
+      r.fail("options line needs 7 fields");
     }
     std::string extra;
     if (os >> extra) {
@@ -327,15 +316,6 @@ CompileRequest decode_request(const std::string& payload) {
     o.auto_size = flag(auto_size, "auto-size");
     o.placer.timing_mode = flag(ptiming, "placer timing");
     o.router.timing_mode = flag(rtiming, "router timing");
-    if (ccm == "off") {
-      o.router.cross_context_mode = route::CrossContextMode::kOff;
-    } else if (ccm == "negotiated") {
-      o.router.cross_context_mode = route::CrossContextMode::kNegotiated;
-    } else if (ccm == "interleaved") {
-      o.router.cross_context_mode = route::CrossContextMode::kInterleaved;
-    } else {
-      r.fail("invalid cross-context mode '" + ccm + "'");
-    }
     const auto threads = [&](const std::string& token,
                              const char* what) -> std::size_t {
       if (!try_parse_u64(token, v) ||

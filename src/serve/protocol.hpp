@@ -3,7 +3,7 @@
 // Every message is one length-prefixed binary frame:
 //
 //   offset 0  4 bytes   magic "MCFS"
-//   offset 4  1 byte    protocol version (2)
+//   offset 4  1 byte    protocol version (3)
 //   offset 5  1 byte    frame type (FrameType)
 //   offset 6  4 bytes   payload length, unsigned little-endian
 //   offset 10 N bytes   payload
@@ -24,13 +24,13 @@
 //          <conventional|rcm>      misses <u64>
 //   options <seed> <closure>       delta <0|1>
 //           <auto_size> <ptiming>  fallback_bytes <n>
-//           <rtiming>              <n bytes>
-//           <off|negotiated|       critical_path <double>
-//            interleaved>          bitstream_bytes <n>
-//           <pthreads> <rthreads>  <n bytes>
-//   netlist_bytes <n>              end
-//   <n bytes>
-//   end                            mcfpga-progress v1
+//           <rtiming> <pthreads>   <n bytes>
+//           <rthreads>             critical_path <double>
+//   netlist_bytes <n>              bitstream_bytes <n>
+//   <n bytes>                      <n bytes>
+//   end                            end
+//
+//                                  mcfpga-progress v1
 //                                  job <name>
 //                                  stage <name>
 //                                  seconds <double>
@@ -41,8 +41,9 @@
 // payload line number — the same hardening the canonical text formats got.
 // The options line carries the serving subset of core::CompileOptions
 // (the knobs the determinism contract is tested over); fields not on the
-// wire keep their defaults on the daemon side.  Version 1 frames, whose
-// options line carried a queue-engine token, are rejected at the header.
+// wire keep their defaults on the daemon side.  Older frames are rejected
+// at the header: version 1 options lines carried a queue-engine token and
+// version 2 ones a cross-context routing-mode token.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@
 namespace mcfpga::serve {
 
 inline constexpr char kFrameMagic[4] = {'M', 'C', 'F', 'S'};
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 10;
 
 enum class FrameType : std::uint8_t {

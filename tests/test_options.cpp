@@ -64,47 +64,40 @@ TEST(RouterOptionsValidation, RejectsBadCriticalityExponentSchedules) {
   EXPECT_NO_THROW(o.validate());
 }
 
-TEST(RouterOptionsValidation, RejectsBadCrossContextKnobs) {
+TEST(RouterOptionsValidation, RejectsNonFiniteCongestionKnobs) {
+  // An infinite growth or increment turns node costs infinite within one
+  // rip-up iteration; NaN slips past the sign checks.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kInf, kNaN}) {
+    route::RouterOptions o;
+    o.present_factor_growth = bad;
+    EXPECT_THROW(o.validate(), InvalidArgument)
+        << "present_factor_growth " << bad;
+    o = {};
+    o.history_increment = bad;
+    EXPECT_THROW(o.validate(), InvalidArgument)
+        << "history_increment " << bad;
+  }
+  // Huge but finite stays legal: the expansion queue clamps its buckets.
   route::RouterOptions o;
-  o.cross_context_rounds = 0;  // negotiation needs at least one round
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cross_context_pressure_weight = -0.5;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cross_context_mode = route::CrossContextMode::kNegotiated;
-  o.cross_context_rounds = 5;
-  o.cross_context_pressure_weight = 0.0;  // pressureless negotiation is legal
+  o.history_increment = 1e300;
+  o.present_factor_growth = 1e300;
   EXPECT_NO_THROW(o.validate());
 }
 
-TEST(RouterOptionsValidation, RejectsBadInterleaveKnobs) {
-  route::RouterOptions o;
-  o.interleave_waves = 0;  // the merged worklist needs at least one wave
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.interleave_crit_quantum = 0.0;  // priority buckets need positive width
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.interleave_crit_quantum = -0.25;
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.interleave_crit_quantum = 1.5;  // keys live in [0, 1]
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.cross_context_mode = route::CrossContextMode::kInterleaved;
-  o.interleave_waves = 3;
-  o.interleave_crit_quantum = 0.25;
-  EXPECT_NO_THROW(o.validate());
-}
-
-TEST(RouterOptionsValidation, RejectsNegativePressureRamp) {
-  route::RouterOptions o;
-  o.pressure_ramp = -0.1;  // pressure may only grow round over round
-  EXPECT_THROW(o.validate(), InvalidArgument);
-  o = {};
-  o.pressure_ramp = 0.5;
-  EXPECT_NO_THROW(o.validate());
+TEST(RouterOptionsValidation, RejectsNonFiniteCriticalityExponentSchedules) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kInf, kNaN}) {
+    route::RouterOptions o;
+    o.criticality_exponent_schedule = {bad, 0.0, kInf};
+    EXPECT_THROW(o.validate(), InvalidArgument) << "start " << bad;
+    o.criticality_exponent_schedule = {1.0, bad, 8.0};
+    EXPECT_THROW(o.validate(), InvalidArgument) << "step " << bad;
+    o.criticality_exponent_schedule = {1.0, 0.5, bad};
+    EXPECT_THROW(o.validate(), InvalidArgument) << "max " << bad;
+  }
 }
 
 TEST(RouterOptionsValidation, RouterConstructorValidates) {

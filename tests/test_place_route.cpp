@@ -2,11 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "arch/routing_graph.hpp"
 #include "common/error.hpp"
+#include "core/stages.hpp"
 #include "place/placer.hpp"
 #include "route/router.hpp"
+#include "route/router_core.hpp"
+#include "workload/circuits.hpp"
 
 namespace mcfpga {
 namespace {
@@ -262,6 +266,109 @@ TEST(Router, NetCountMismatchThrows) {
   const Router router(g);
   std::vector<std::vector<RouteNet>> nets(2);  // fabric has 4 contexts
   EXPECT_THROW(router.route(nets), InvalidArgument);
+}
+
+// --- Router::route over real flow problems --------------------------------
+
+/// Runs the pipeline through RouteStage and hands the context back: the
+/// routing problem (graph, nets) plus the routed result.  The context
+/// refers to `nl`, which must outlive it.
+core::FlowContext routed_context(const netlist::MultiContextNetlist& nl) {
+  core::FlowContext ctx =
+      core::make_flow_context(nl, spec_4x4(10, 4), core::CompileOptions{});
+  core::TechMapStage().run(ctx);
+  core::SharingStage().run(ctx);
+  core::PlaneAllocStage().run(ctx);
+  core::ClusterStage().run(ctx);
+  core::PlaceStage().run(ctx);
+  core::RouteStage().run(ctx);
+  return ctx;
+}
+
+void expect_same_nets(const std::vector<route::RoutedNet>& a,
+                      const std::vector<route::RoutedNet>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].source, b[i].source);
+    ASSERT_EQ(a[i].paths.size(), b[i].paths.size());
+    for (std::size_t p = 0; p < a[i].paths.size(); ++p) {
+      EXPECT_EQ(a[i].paths[p].sink, b[i].paths[p].sink);
+      EXPECT_EQ(a[i].paths[p].edges, b[i].paths[p].edges);
+    }
+  }
+}
+
+TEST(Router, OffModeMatchesManualPerContextCores) {
+  // Router::route is bit-identical to driving one RouterCore over every
+  // context by hand: the worker fan-out and the merge add nothing.
+  const auto nl = workload::pipeline_workload(4, 8);
+  const core::FlowContext ctx = routed_context(nl);
+  ASSERT_TRUE(ctx.routing.success);
+  route::RouterCore core(*ctx.graph, ctx.options.router);
+  for (std::size_t c = 0; c < ctx.nets_per_context.size(); ++c) {
+    const auto manual = core.route_context(ctx.nets_per_context[c]);
+    ASSERT_TRUE(manual.converged);
+    expect_same_nets(manual.nets, ctx.routing.nets[c]);
+  }
+}
+
+TEST(Router, ZeroPressurePassIsBitIdenticalToPlainPass) {
+  // An explicit all-zero pressure vector must not perturb a single cost:
+  // the delta recompile path pins kept trees through this input.
+  const auto nl = workload::pipeline_workload(4, 8);
+  const core::FlowContext ctx = routed_context(nl);
+  const std::vector<double> zero(ctx.graph->num_nodes(), 0.0);
+  route::RouterCore plain(*ctx.graph, ctx.options.router);
+  route::RouterCore pressured(*ctx.graph, ctx.options.router);
+  for (std::size_t c = 0; c < ctx.nets_per_context.size(); ++c) {
+    const auto a = plain.route_context(ctx.nets_per_context[c]);
+    const auto b = pressured.route_pass(ctx.nets_per_context[c], nullptr,
+                                        nullptr, &zero);
+    expect_same_nets(a.nets, b.nets);
+    EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+    EXPECT_EQ(a.iterations, b.iterations);
+  }
+}
+
+TEST(Router, HistoryClampedWhenNodeCountChanges) {
+  // A history recorded on a different graph (wrong per-node length) must
+  // be cleared on entry, not silently seeded from: routing with a
+  // garbage stale history equals routing with a fresh one, and the
+  // prepared entries come back graph-sized.
+  const auto nl = workload::pipeline_workload(4, 8);
+  const core::FlowContext ctx = routed_context(nl);
+  const Router router(*ctx.graph, ctx.options.router);
+  const std::size_t num_nodes = ctx.graph->num_nodes();
+  const std::size_t num_contexts = ctx.nets_per_context.size();
+
+  route::RouteHistory fresh;
+  const route::RouteResult a =
+      router.route(ctx.nets_per_context, nullptr, &fresh);
+
+  route::RouteHistory stale;
+  stale.per_context.assign(num_contexts,
+                           std::vector<double>(num_nodes + 7, 1e6));
+  const route::RouteResult b =
+      router.route(ctx.nets_per_context, nullptr, &stale);
+  ASSERT_EQ(a.nets.size(), b.nets.size());
+  for (std::size_t c = 0; c < a.nets.size(); ++c) {
+    expect_same_nets(a.nets[c], b.nets[c]);
+  }
+  EXPECT_EQ(a.switch_patterns, b.switch_patterns);
+  ASSERT_EQ(stale.per_context.size(), num_contexts);
+  for (const auto& h : stale.per_context) {
+    EXPECT_EQ(h.size(), num_nodes);
+  }
+
+  // prepare() itself: matching entries survive, stale ones clear.
+  route::RouteHistory h;
+  h.per_context.push_back(std::vector<double>(num_nodes, 2.0));
+  h.per_context.push_back(std::vector<double>(3, 2.0));
+  h.prepare(4, num_nodes);
+  ASSERT_EQ(h.per_context.size(), 4u);
+  EXPECT_EQ(h.per_context[0].size(), num_nodes);  // kept
+  EXPECT_TRUE(h.per_context[1].empty());          // clamped
+  EXPECT_TRUE(h.per_context[2].empty());
 }
 
 }  // namespace

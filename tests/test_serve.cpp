@@ -191,7 +191,6 @@ CompileRequest sample_request() {
   options.seed = 42;
   options.placer.timing_mode = true;
   options.router.timing_mode = true;
-  options.router.cross_context_mode = route::CrossContextMode::kNegotiated;
   options.placer.num_threads = 3;
   options.router.num_threads = 2;
   CompileRequest request = ServeClient::make_request(
@@ -219,8 +218,6 @@ TEST(ServeProtocol, RequestRoundTrip) {
             request.options.placer.timing_mode);
   EXPECT_EQ(back.options.router.timing_mode,
             request.options.router.timing_mode);
-  EXPECT_EQ(back.options.router.cross_context_mode,
-            request.options.router.cross_context_mode);
   EXPECT_EQ(back.options.placer.num_threads,
             request.options.placer.num_threads);
   EXPECT_EQ(back.options.router.num_threads,
@@ -279,17 +276,19 @@ TEST(ServeProtocol, FrameRejectsCorruption) {
     bad[4] = 9;  // version
     EXPECT_THROW(frame_from_bytes(bad), InvalidArgument);
   }
-  {
-    // A version-1 frame (options line with a queue-engine token) gets the
-    // typed version error, not a confusing options-line parse failure.
+  // Version-1 frames (options line with a queue-engine token) and
+  // version-2 frames (with a cross-context routing-mode token) get the
+  // typed version error, not a confusing options-line parse failure.
+  for (const char version : {'\x01', '\x02'}) {
     std::string old = good;
-    old[4] = 1;
+    old[4] = version;
+    const std::string want =
+        "unsupported protocol version " + std::to_string(int{version});
     try {
       frame_from_bytes(old);
-      FAIL() << "accepted a version-1 frame";
+      FAIL() << "accepted a version-" << int{version} << " frame";
     } catch (const InvalidArgument& e) {
-      EXPECT_NE(std::string(e.what()).find("unsupported protocol version 1"),
-                std::string::npos)
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
           << e.what();
     }
   }
@@ -332,10 +331,12 @@ TEST(ServeProtocol, StrictNumericRejection) {
   expect_request_rejected("fabric 4 4", "fabric 4x 4", "line 5");
   expect_request_rejected("fabric 4 4", "fabric 0 4", "line 5");
   expect_request_rejected("options 42", "options -42", "line 6");
-  // The version-1 options line carried a queue token; it is one field too
-  // many now.
-  expect_request_rejected(" negotiated", " bucket negotiated", "line 6");
-  expect_request_rejected("negotiated", "sideways", "line 6");
+  // The version-1 options line carried a queue token and the version-2
+  // one a cross-context routing mode; either is one field too many now.
+  expect_request_rejected("options 42 1 1 1 1 ", "options 42 1 1 1 1 bucket ",
+                          "line 6");
+  expect_request_rejected("options 42 1 1 1 1 ",
+                          "options 42 1 1 1 1 negotiated ", "line 6");
   expect_request_rejected("mcfpga-request v1", "mcfpga-request v2", "line 1");
 }
 
