@@ -66,11 +66,14 @@ struct Run {
 
 Run timed_place(const place::PlacementProblem& prob,
                 const arch::RoutingGraph& graph,
-                const place::PlacerOptions& opts) {
+                const place::PlacerOptions& opts,
+                bool full_recompute = false) {
   using clock = std::chrono::steady_clock;
   const auto start = clock::now();
   Run run;
-  run.placement = place::place(prob, graph, opts);
+  run.placement =
+      full_recompute ? place::testing::place_full_recompute(prob, graph, opts)
+                     : place::place(prob, graph, opts);
   const std::chrono::duration<double, std::milli> elapsed =
       clock::now() - start;
   run.wall_ms = elapsed.count();
@@ -114,9 +117,7 @@ int main(int argc, char** argv) {
     const std::size_t moves =
         opts.sweeps * 16 * (prob.num_clusters + prob.num_io_terminals + 1);
 
-    opts.incremental = false;
-    const Run full = timed_place(prob, graph, opts);
-    opts.incremental = true;
+    const Run full = timed_place(prob, graph, opts, /*full_recompute=*/true);
     const Run inc = timed_place(prob, graph, opts);
     opts.num_restarts = 4;
     const Run restarts = timed_place(prob, graph, opts);

@@ -3,8 +3,7 @@
 
 Compares the BENCH_JSON lines of a fresh --smoke bench run against the
 "smoke_baseline" section of a pinned bench JSON file (BENCH_ROUTING.json,
-BENCH_FLOW.json, BENCH_INCREMENTAL.json, BENCH_SERVE.json,
-BENCH_PLACER.json).  The
+BENCH_FLOW.json, BENCH_INCREMENTAL.json, BENCH_PLACER.json).  The
 interesting counters — maze expansions, queue pushes, wirelength,
 critical paths, delta-path hits — are deterministic for the pinned
 seeds, so a drift outside the tolerance band means an

@@ -81,11 +81,11 @@ struct Compiled {
 };
 
 /// Thread safety: compile() and compile_incremental() may be called from
-/// several threads at once against one service (the serve daemon does) —
-/// the shared FlowCache serializes its own lookups/publishes, and the
-/// fallback-reason ledger has its own lock.  Results stay bit-identical
-/// to single-threaded calls because every compile is a pure function of
-/// its inputs and cache hits restore bit-identical snapshots.
+/// several threads at once against one service — the shared FlowCache
+/// serializes its own lookups/publishes, and the fallback-reason ledger
+/// has its own lock.  Results stay bit-identical to single-threaded calls
+/// because every compile is a pure function of its inputs and cache hits
+/// restore bit-identical snapshots.
 class CompileService {
  public:
   explicit CompileService(IncrementalOptions options = {})
@@ -103,7 +103,7 @@ class CompileService {
   /// must match previous.options for the delta path to engage (any
   /// difference falls back to a full cached compile).  The observer sees
   /// the delta path's own place/route/timing/program blocks as stage
-  /// boundaries too, so cancellation and deadlines work on both paths.
+  /// boundaries too, so cancellation works on both paths.
   Compiled compile_incremental(const Compiled& previous,
                                const netlist::MultiContextNetlist& edited,
                                const core::CompileOptions& options,

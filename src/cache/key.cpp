@@ -64,9 +64,6 @@ std::uint64_t hash_compile_options(const core::CompileOptions& options) {
       .size(p.moves_per_sweep)
       .f64(p.initial_temperature_factor)
       .f64(p.cooling)
-      .boolean(p.incremental)
-      .boolean(p.range_limit)
-      .boolean(p.adaptive_cooling)
       .size(p.num_restarts)
       // num_threads skipped: thread count never changes the placement.
       .boolean(p.timing_mode)
@@ -87,9 +84,7 @@ std::uint64_t hash_compile_options(const core::CompileOptions& options) {
   h.f64(options.delay.se_delay)
       .f64(options.delay.lut_delay)
       .boolean(options.auto_size)
-      .size(options.closure_iterations)
-      .f64(options.closure_slack_tolerance)
-      .boolean(options.closure_adaptive_refine);
+      .size(options.closure_iterations);
   return h.digest();
 }
 

@@ -17,9 +17,9 @@
 //
 // Thread safety: the store and interner themselves are not thread-safe,
 // so FlowCache serializes every hook call (and the stats snapshot) behind
-// one mutex — that is what lets the serve daemon run concurrent compile
-// jobs against ONE shared cache.  Stage execution (the expensive part)
-// happens outside the hook, so jobs only contend on lookup/publish.
+// one mutex, so concurrent compiles can share ONE cache.  Stage
+// execution (the expensive part) happens outside the hook, so compiles
+// only contend on lookup/publish.
 #pragma once
 
 #include <cstddef>

@@ -38,11 +38,10 @@ class FlowError : public Error {
   explicit FlowError(const std::string& what) : Error(what) {}
 };
 
-/// A compile was abandoned on purpose (job cancellation, deadline budget).
-/// Deliberately NOT a FlowError: callers that treat FlowError as "the
-/// design is infeasible" must not confuse it with "the caller asked us to
-/// stop" — the serve daemon catches this type to mark sessions
-/// Cancelled/Failed-by-deadline instead of compile-failed.
+/// A compile was abandoned on purpose: a core::StageObserver returned false
+/// from on_stage_start.  Deliberately NOT a FlowError: callers that treat
+/// FlowError as "the design is infeasible" must not confuse it with "the
+/// caller asked us to stop".
 class FlowCancelled : public Error {
  public:
   explicit FlowCancelled(const std::string& what) : Error(what) {}

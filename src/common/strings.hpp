@@ -29,8 +29,8 @@ std::string join(const std::vector<std::string>& parts,
 // numeric token: no leading whitespace, no leading '+', no trailing
 // garbage ("12abc" is rejected, not parsed as 12), and overflow fails
 // instead of wrapping or saturating silently.  Parsers that own line
-// numbers (config/serialize, serve/protocol) call these and raise their
-// own line-numbered InvalidArgument on false.
+// numbers (config/serialize) call these and raise their own
+// line-numbered InvalidArgument on false.
 
 /// Decimal unsigned 64-bit: digits only.
 bool try_parse_u64(std::string_view token, std::uint64_t& out);

@@ -21,9 +21,9 @@
 //      against the iteration-1 critical-path budget.
 //
 // Every iteration lands in FlowContext::closure_stats; the loop exits
-// early when an iteration fails to improve the best worst slack by more
-// than CompileOptions::closure_slack_tolerance (or when a refine re-route
-// fails to converge), and the best-slack iteration's artifacts are
+// early at the first iteration that does not strictly improve the best
+// worst slack (or when a refine re-route fails to converge, which is not
+// recorded), and the best-slack iteration's artifacts are
 // restored at the end — closure never finishes worse than one-shot, and
 // with closure_iterations == 1 the loop IS the plain three-stage block,
 // bit for bit.

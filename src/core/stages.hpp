@@ -82,13 +82,12 @@ class StageCacheHook {
   virtual void after_stage(const char* stage, FlowContext& ctx) = 0;
 };
 
-/// Stage-boundary observer: progress streaming plus cooperative
-/// cancellation / deadline budgets for long-running services
-/// (serve/daemon).  run_pipeline() — and the delta-recompile driver's
+/// Stage-boundary observer: progress and timing spans plus cooperative
+/// cancellation.  run_pipeline() — and the delta-recompile driver's
 /// manual stage blocks — consult it around every stage; returning false
 /// from on_stage_start aborts the flow with FlowCancelled, which is the
-/// ONLY way a compile stops early, so a job can never be killed halfway
-/// through mutating shared state.
+/// ONLY way a compile stops early, so a compile can never be abandoned
+/// halfway through mutating shared state (the stage cache).
 class StageObserver {
  public:
   virtual ~StageObserver() = default;

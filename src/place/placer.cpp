@@ -66,29 +66,15 @@ void require_exact_cost(const NetIndex& index, const Geometry& geom) {
   }
 }
 
-/// VPR-style acceptance-rate-driven temperature multiplier.
-double adaptive_cooling_factor(double accept_rate) {
-  if (accept_rate > 0.96) {
-    return 0.5;
-  }
-  if (accept_rate > 0.8) {
-    return 0.9;
-  }
-  if (accept_rate > 0.15) {
-    return 0.95;
-  }
-  return 0.8;
-}
-
 /// One independent annealing run.  Both delta-evaluation modes draw the
 /// same RNG sequence and see the same exact integer deltas, so for a given
 /// seed the trajectory — and the returned Placement — is bit-identical
-/// whether options.incremental is set or not.  Fills `stat`'s seed, cost
-/// and move counters (not its wall clock).
+/// whether `full_recompute` is set or not.  Fills `stat`'s seed, cost and
+/// move counters (not its wall clock).
 Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
                      const NetIndex& index, const PlacerOptions& options,
                      std::uint64_t seed, const Placement* initial,
-                     RestartStat& stat) {
+                     bool full_recompute, RestartStat& stat) {
   Rng rng(seed);
   const std::size_t width = geom.width;
 
@@ -160,9 +146,9 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
   // of the occupancy trackers).
   const auto attempt = [&](std::size_t num_moves, Rng& r, double temp,
                            const auto& revert) {
-    const std::int64_t delta = options.incremental
-                                   ? hp.propose(moves, num_moves)
-                                   : hp.propose_full(moves, num_moves);
+    const std::int64_t delta = full_recompute
+                                   ? hp.propose_full(moves, num_moves)
+                                   : hp.propose(moves, num_moves);
     ++evaluated;
     if (delta <= 0 ||
         r.next_double() < std::exp(-static_cast<double>(delta) / temp)) {
@@ -186,24 +172,19 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
         const std::size_t a =
             static_cast<std::size_t>(rng.next_below(problem.num_clusters));
         const std::size_t old_cell = cluster_cell[a];
-        std::size_t target_cell;
-        if (options.range_limit) {
-          // Uniform draw over the window around the cluster's cell.
-          const std::size_t r =
-              static_cast<std::size_t>(std::max(1.0, rlim));
-          const std::size_t ax = old_cell % width;
-          const std::size_t ay = old_cell / width;
-          const std::size_t x0 = ax > r ? ax - r : 0;
-          const std::size_t x1 = std::min(geom.width - 1, ax + r);
-          const std::size_t y0 = ay > r ? ay - r : 0;
-          const std::size_t y1 = std::min(geom.height - 1, ay + r);
-          const std::size_t span_x = x1 - x0 + 1;
-          const std::size_t pick = static_cast<std::size_t>(
-              rng.next_below(span_x * (y1 - y0 + 1)));
-          target_cell = (y0 + pick / span_x) * width + (x0 + pick % span_x);
-        } else {
-          target_cell = static_cast<std::size_t>(rng.next_below(geom.cells));
-        }
+        // Uniform draw over the window around the cluster's cell.
+        const std::size_t r = static_cast<std::size_t>(std::max(1.0, rlim));
+        const std::size_t ax = old_cell % width;
+        const std::size_t ay = old_cell / width;
+        const std::size_t x0 = ax > r ? ax - r : 0;
+        const std::size_t x1 = std::min(geom.width - 1, ax + r);
+        const std::size_t y0 = ay > r ? ay - r : 0;
+        const std::size_t y1 = std::min(geom.height - 1, ay + r);
+        const std::size_t span_x = x1 - x0 + 1;
+        const std::size_t pick = static_cast<std::size_t>(
+            rng.next_below(span_x * (y1 - y0 + 1)));
+        const std::size_t target_cell =
+            (y0 + pick / span_x) * width + (x0 + pick % span_x);
         if (target_cell == old_cell) {
           continue;
         }
@@ -273,12 +254,8 @@ Placement anneal_one(const PlacementProblem& problem, const Geometry& geom,
         evaluated != 0
             ? static_cast<double>(accepted) / static_cast<double>(evaluated)
             : 0.0;
-    temperature *= options.adaptive_cooling
-                       ? adaptive_cooling_factor(accept_rate)
-                       : options.cooling;
-    if (options.range_limit) {
-      rlim = std::clamp(rlim * (1.0 - 0.44 + accept_rate), 1.0, max_dim);
-    }
+    temperature *= options.cooling;
+    rlim = std::clamp(rlim * (1.0 - 0.44 + accept_rate), 1.0, max_dim);
   }
 
   Placement out;
@@ -355,9 +332,12 @@ double placement_cost(const PlacementProblem& problem,
   return c;
 }
 
-Placement place(const PlacementProblem& problem,
-                const arch::RoutingGraph& graph,
-                const PlacerOptions& options, const Placement* initial) {
+namespace {
+
+Placement place_impl(const PlacementProblem& problem,
+                     const arch::RoutingGraph& graph,
+                     const PlacerOptions& options, const Placement* initial,
+                     bool full_recompute) {
   options.validate();
   if (initial != nullptr) {
     MCFPGA_REQUIRE(initial->cluster_pos.size() == problem.num_clusters &&
@@ -422,7 +402,7 @@ Placement place(const PlacementProblem& problem,
     const auto start = clock::now();
     try {
       results[r] = anneal_one(problem, geom, index, options, options.seed + r,
-                              initial, stats[r]);
+                              initial, full_recompute, stats[r]);
     } catch (...) {
       errors[r] = std::current_exception();
     }
@@ -453,5 +433,26 @@ Placement place(const PlacementProblem& problem,
   out.winning_restart = best;
   return out;
 }
+
+}  // namespace
+
+Placement place(const PlacementProblem& problem,
+                const arch::RoutingGraph& graph,
+                const PlacerOptions& options, const Placement* initial) {
+  return place_impl(problem, graph, options, initial,
+                    /*full_recompute=*/false);
+}
+
+namespace testing {
+
+Placement place_full_recompute(const PlacementProblem& problem,
+                               const arch::RoutingGraph& graph,
+                               const PlacerOptions& options,
+                               const Placement* initial) {
+  return place_impl(problem, graph, options, initial,
+                    /*full_recompute=*/true);
+}
+
+}  // namespace testing
 
 }  // namespace mcfpga::place

@@ -7,17 +7,15 @@
 // cluster swaps / relocations and pad swaps; cluster targets are drawn
 // from a move window that shrinks as acceptance falls (VPR-style range
 // limiting), and the schedule is a classic geometric cooling with a fixed
-// sweep budget — or, behind PlacerOptions::adaptive_cooling, an
-// acceptance-rate-driven schedule.  Placements are deterministic for a
-// given seed.
+// sweep budget.  Placements are deterministic for a given seed.
 //
 // Move evaluation is exact and incremental: a flat CSR terminal->net index
 // (place/net_index.hpp) is built once per problem, and each move rescans
 // only the nets incident to the moved terminals, once each, from their
 // final positions.  Coordinates are integers, so deltas are exact int64s
 // and the incremental trajectory is bit-identical to the O(nets x
-// terminals) full-recompute baseline (PlacerOptions::incremental = false,
-// kept for benches/tests).
+// terminals) full-recompute baseline (testing::place_full_recompute, kept
+// as the exactness oracle for benches/tests).
 //
 // Multi-seed restarts: num_restarts independent annealers (restart r seeds
 // its RNG with seed + r) run on a worker pool, and the lowest-cost result
@@ -73,14 +71,6 @@ struct PlacerOptions {
   std::size_t moves_per_sweep = 0;  ///< 0 -> 16 * (clusters + ios)
   double initial_temperature_factor = 0.1;  ///< T0 = factor * initial cost
   double cooling = 0.9;
-  /// Exact incremental delta evaluation (false = full recompute per move;
-  /// same trajectory bit for bit, kept as the bench/test baseline).
-  bool incremental = true;
-  /// Shrink cluster move windows as the acceptance rate falls.
-  bool range_limit = true;
-  /// Replace geometric cooling with an acceptance-rate-driven schedule
-  /// (sweeps still bounds the run).
-  bool adaptive_cooling = false;
   /// Independent annealing restarts; restart r uses seed + r, best cost
   /// wins (ties -> lowest restart index).
   std::size_t num_restarts = 1;
@@ -155,5 +145,18 @@ double placement_cost(const PlacementProblem& problem,
                       const arch::RoutingGraph& graph,
                       const Placement& placement,
                       const PlacerOptions& options = {});
+
+namespace testing {
+
+/// place() with every move priced by a full O(nets x terminals) recompute
+/// instead of the incremental evaluator.  Same RNG draws and exact integer
+/// deltas, so the result is bit-identical to place(): the exactness
+/// oracle and speed baseline for tests and benches, not a flow option.
+Placement place_full_recompute(const PlacementProblem& problem,
+                               const arch::RoutingGraph& graph,
+                               const PlacerOptions& options,
+                               const Placement* initial = nullptr);
+
+}  // namespace testing
 
 }  // namespace mcfpga::place

@@ -20,6 +20,13 @@ using arch::SwitchOwner;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Ceiling on the present-congestion factor.  An overused node already
+/// costs ~1e12x a free one here, so growing further buys no negotiation
+/// pressure, while an unbounded product overflows to inf for a large but
+/// finite present_factor_growth, and inf * 0 occupancy is NaN on every
+/// free node.  The defaults (0.5 * 1.6^39 ~ 5e7) never reach it.
+constexpr double kMaxPresentFactor = 1e12;
+
 /// Epoch headroom: a pass can never consume this many expansions, so
 /// rewinding the stamps whenever a pass STARTS above the threshold keeps
 /// pooled cores (which live across thousands of passes) from ever wrapping
@@ -439,7 +446,8 @@ RouterCore::ContextResult RouterCore::route_pass(
       converged = true;
       break;
     }
-    present_factor_ *= options_.present_factor_growth;
+    present_factor_ = std::min(
+        present_factor_ * options_.present_factor_growth, kMaxPresentFactor);
 
     if (timing_driven) {
       // Re-time every connection at its current switch count (incremental:

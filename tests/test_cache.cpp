@@ -2,12 +2,18 @@
 // driver (src/cache/): cache-enabled compiles are bit-identical to
 // uncached ones (cold and warm, across timing modes and closure), cache
 // hits are shared across worker counts, the LRU bounds hold, pattern
-// interning refcounts compose with eviction, and delta recompiles of
-// edited netlists stay functionally correct with full-recompile QoR.
+// interning refcounts compose with eviction, delta recompiles of edited
+// netlists stay functionally correct with full-recompile QoR, a
+// StageObserver can cancel either path without poisoning the service, and
+// concurrent compiles on one service match serial ones bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
+#include <string>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -451,6 +457,124 @@ TEST(DeltaRecompile, DeterministicForAnyWorkerCount) {
         service.compile_incremental(base, edited, opts).design);
   }
   expect_same_design(designs[0], designs[1]);
+}
+
+// --- cancellation and concurrency ------------------------------------------
+
+/// Abandons the compile at the first start of stage `cancel_at`.
+class CancelAt final : public core::StageObserver {
+ public:
+  explicit CancelAt(std::string cancel_at) : cancel_at_(std::move(cancel_at)) {}
+  bool on_stage_start(const char* stage) override {
+    started.emplace_back(stage);
+    return cancel_at_ != stage;
+  }
+  void on_stage_done(const char* /*stage*/, double /*seconds*/) override {}
+
+  std::vector<std::string> started;
+
+ private:
+  std::string cancel_at_;
+};
+
+// A cancelled compile is "the caller asked us to stop", never "the design
+// is infeasible".
+static_assert(!std::is_base_of_v<FlowError, FlowCancelled>);
+
+TEST(StageObserver, CancelThrowsFlowCancelledOnBothPathsAndServiceRecovers) {
+  const auto nl = four_context_workload();
+  const auto spec = small_spec();
+  const core::CompileOptions opts;
+  CompileService service;
+
+  // Full pipeline (run_pipeline): abandoned before route, after the front
+  // end and place already published their artifacts.
+  CancelAt cancel_full("route");
+  EXPECT_THROW(service.compile(nl, spec, opts, &cancel_full), FlowCancelled);
+  ASSERT_FALSE(cancel_full.started.empty());
+  EXPECT_EQ(cancel_full.started.back(), "route");
+
+  // The follow-up compile reuses what was published and is bit-identical
+  // to an uncached compile.
+  const Compiled base = service.compile(nl, spec, opts);
+  EXPECT_EQ(base.design.cache.hits, 5u);  // tech_map .. place
+  expect_same_design(core::compile(nl, spec, opts), base.design);
+
+  // Delta path (compile_incremental's own stage blocks): a retable edit
+  // keeps the placement and routing, so the delta path engages and is
+  // abandoned at its manual route block.
+  const auto edited = workload::retable_edit(nl, pick_lut_node(nl), 5);
+  CancelAt cancel_delta("route");
+  EXPECT_THROW(service.compile_incremental(base, edited, opts, &cancel_delta),
+               FlowCancelled);
+  ASSERT_FALSE(cancel_delta.started.empty());
+  EXPECT_EQ(cancel_delta.started.back(), "route");
+
+  const core::CompiledDesign uncached = core::compile(edited, spec, opts);
+  const Compiled inc = service.compile_incremental(base, edited, opts);
+  EXPECT_TRUE(inc.design.cache.delta) << inc.design.cache.delta_fallback;
+  expect_same_design(uncached, inc.design);
+  expect_same_design(uncached, service.compile(edited, spec, opts).design);
+}
+
+TEST(CompileService, ConcurrentCompilesAreBitIdenticalToSerial) {
+  // Four threads share one service and compile distinct designs, each of
+  // them several times, in staggered orders: cold misses race with hits
+  // on the same keys.  Every result must equal a serial uncached compile.
+  const auto spec = small_spec();
+  const netlist::MultiContextNetlist netlists[] = {four_context_workload(8),
+                                                   four_context_workload(10)};
+  struct Job {
+    const netlist::MultiContextNetlist* netlist;
+    core::CompileOptions options;
+  };
+  std::vector<Job> jobs;
+  for (const auto& nl : netlists) {
+    jobs.push_back({&nl, {}});
+    core::CompileOptions reseeded;
+    reseeded.seed = 7;
+    jobs.push_back({&nl, reseeded});
+  }
+  core::CompileOptions timing;
+  timing.placer.timing_mode = true;
+  timing.router.timing_mode = true;
+  jobs.push_back({&netlists[0], timing});
+
+  std::vector<core::CompiledDesign> serial;
+  for (const Job& job : jobs) {
+    serial.push_back(core::compile(*job.netlist, spec, job.options));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  CompileService service;
+  std::vector<std::vector<core::CompiledDesign>> results(kThreads);
+  std::vector<std::exception_ptr> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+          const Job& job = jobs[(t + k) % jobs.size()];
+          results[t].push_back(
+              service.compile(*job.netlist, spec, job.options).design);
+        }
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_FALSE(errors[t]) << "thread " << t << " threw";
+    ASSERT_EQ(results[t].size(), jobs.size());
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " job " +
+                   std::to_string((t + k) % jobs.size()));
+      expect_same_design(serial[(t + k) % jobs.size()], results[t][k]);
+    }
+  }
 }
 
 }  // namespace

@@ -2,18 +2,13 @@
 // and the stable FNV-1a/64 content hashing behind the stage cache.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <future>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "common/bitvector.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -320,8 +315,8 @@ TEST(Hasher, DistinguishesValueTypes) {
             common::Hasher().bits(BitVector::from_string("000")).digest());
 }
 
-// --- Strict numeric parsing (the checked helpers every line-oriented
-// parser in config/serialize and serve/protocol routes numbers through).
+// --- Strict numeric parsing (the checked helpers the line-oriented
+// config/serialize parser routes numbers through).
 
 TEST(Strings, TryParseU64AcceptsExactTokens) {
   std::uint64_t v = 1;
@@ -374,53 +369,6 @@ TEST(Strings, TryParseDoubleStrictness) {
   EXPECT_FALSE(try_parse_double("nan", v));  // non-finite rejected
   EXPECT_FALSE(try_parse_double("inf", v));
   EXPECT_FALSE(try_parse_double("1e999", v));  // overflows to infinity
-}
-
-// --- WorkerPool (the serve daemon's execution substrate).
-
-TEST(WorkerPool, RunsEverySubmittedTaskExactlyOnce) {
-  std::atomic<int> runs{0};
-  {
-    WorkerPool pool(3);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&runs] { runs.fetch_add(1); });
-    }
-    pool.shutdown();  // drains before joining
-    EXPECT_EQ(runs.load(), 64);
-    pool.shutdown();  // idempotent
-  }
-  EXPECT_EQ(runs.load(), 64);
-}
-
-TEST(WorkerPool, ShutdownDrainsQueuedTasks) {
-  std::atomic<int> runs{0};
-  WorkerPool pool(1);
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&runs] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      runs.fetch_add(1);
-    });
-  }
-  pool.shutdown();
-  EXPECT_EQ(runs.load(), 16);
-  EXPECT_THROW(pool.submit([] {}), InvalidArgument);
-}
-
-TEST(WorkerPool, TasksSubmittedFromTasksStillRun) {
-  // A task may enqueue follow-up work (the daemon never does, but the
-  // pool's contract should not silently forbid it).
-  std::atomic<int> runs{0};
-  WorkerPool pool(2);
-  std::promise<void> inner_done;
-  pool.submit([&] {
-    pool.submit([&] {
-      runs.fetch_add(1);
-      inner_done.set_value();
-    });
-  });
-  inner_done.get_future().wait();
-  EXPECT_EQ(runs.load(), 1);
-  pool.shutdown();
 }
 
 }  // namespace

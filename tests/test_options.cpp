@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "arch/routing_graph.hpp"
 #include "common/error.hpp"
@@ -105,6 +106,39 @@ TEST(RouterOptionsValidation, RouterConstructorValidates) {
   route::RouterOptions o;
   o.max_iterations = 0;
   EXPECT_THROW(route::Router(graph, o), InvalidArgument);
+}
+
+TEST(RouterOptionsValidation, HugePresentFactorGrowthBehavesLikeDefault) {
+  // A finite growth such as 1e300 used to overflow the present-congestion
+  // factor to inf by the second rip-up iteration; inf * 0 occupancy then
+  // made every free node's cost NaN, and a net with free paths threw "no
+  // physical path".  The factor is clamped, so a huge growth ends this
+  // congested compile exactly as the default growth does.
+  arch::FabricSpec spec;
+  spec.width = 3;
+  spec.height = 3;
+  spec.channel_width = 2;
+  spec.double_length_tracks = 0;
+  const auto nl = workload::pipeline_workload(4, 12);
+  const auto outcome = [&](double growth) -> std::string {
+    core::CompileOptions o;
+    o.router.present_factor_growth = growth;
+    try {
+      core::compile(nl, spec, o);
+      return "routed";
+    } catch (const FlowError& e) {
+      return e.what();
+    }
+  };
+  const std::string reference = outcome(1.6);
+  ASSERT_NE(reference.find("routing failed to converge"), std::string::npos)
+      << reference;
+  for (const double growth : {1e200, 1e300}) {
+    const std::string got = outcome(growth);
+    EXPECT_EQ(got.find("no physical path"), std::string::npos)
+        << "growth " << growth << ": " << got;
+    EXPECT_EQ(got, reference) << "growth " << growth;
+  }
 }
 
 TEST(DelayParamsValidation, RejectsNonPositiveOrNonFiniteDelays) {

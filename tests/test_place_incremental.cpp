@@ -187,13 +187,12 @@ arch::FabricSpec spec_n(std::size_t n) {
 TEST(Placer, IncrementalBitIdenticalToFullRecompute) {
   struct Case {
     std::size_t grid, clusters, ios, nets;
-    bool range_limit, adaptive;
   };
   const Case cases[] = {
-      {5, 18, 8, 30, true, false},
-      {5, 18, 8, 30, false, false},
-      {6, 30, 0, 40, true, true},
-      {4, 0, 10, 12, true, false},
+      {5, 18, 8, 30},
+      {5, 18, 8, 30},
+      {6, 30, 0, 40},
+      {4, 0, 10, 12},
   };
   std::uint64_t seed = 11;
   for (const Case& c : cases) {
@@ -203,12 +202,8 @@ TEST(Placer, IncrementalBitIdenticalToFullRecompute) {
     PlacerOptions opts;
     opts.seed = seed;
     opts.sweeps = 24;
-    opts.range_limit = c.range_limit;
-    opts.adaptive_cooling = c.adaptive;
-    opts.incremental = true;
     const Placement inc = place::place(prob, g, opts);
-    opts.incremental = false;
-    const Placement full = place::place(prob, g, opts);
+    const Placement full = place::testing::place_full_recompute(prob, g, opts);
     EXPECT_EQ(inc.cluster_pos, full.cluster_pos);
     EXPECT_EQ(inc.io_pads, full.io_pads);
     EXPECT_EQ(inc.cost, full.cost);  // bit-identical, not just close
@@ -268,20 +263,6 @@ TEST(Placer, RestartsAreDeterministicAndNeverWorse) {
     EXPECT_LE(a.moves_accepted, a.moves_proposed);
     EXPECT_LE(a.moves_proposed, budget);
   }
-}
-
-TEST(Placer, RangeLimitAndAdaptiveCoolingStayExact) {
-  const PlacementProblem prob = random_problem(31, 16, 4, 24, 3);
-  const arch::RoutingGraph g(spec_n(5));
-  PlacerOptions opts;
-  opts.seed = 31;
-  opts.sweeps = 32;
-  opts.adaptive_cooling = true;
-  const Placement p = place::place(prob, g, opts);
-  EXPECT_EQ(p.cost, place::placement_cost(prob, g, p));
-  const Placement q = place::place(prob, g, opts);
-  EXPECT_EQ(p.cluster_pos, q.cluster_pos);
-  EXPECT_EQ(p.io_pads, q.io_pads);
 }
 
 /// FNV-1a over the cluster positions and pad indices of a placement.
