@@ -36,9 +36,10 @@ int main() {
   {
     const auto bs = config::paper_table1_example();
     Table t({"switch", "C3", "C2", "C1", "C0", "classification"});
-    for (const auto& row : bs.rows()) {
+    for (std::size_t r = 0; r < bs.num_rows(); ++r) {
+      const auto& row = bs.row(r);
       const auto info = config::classify(row.pattern);
-      t.add_row({row.name, row.pattern.value_in(3) ? "1" : "0",
+      t.add_row({std::string(bs.name(r)), row.pattern.value_in(3) ? "1" : "0",
                  row.pattern.value_in(2) ? "1" : "0",
                  row.pattern.value_in(1) ? "1" : "0",
                  row.pattern.value_in(0) ? "1" : "0", info.describe()});

@@ -31,9 +31,9 @@ int main() {
                           config::ResourceKind::kLutBit,
                           config::ResourceKind::kControlBit}) {
     config::Bitstream sub(bs.num_contexts());
-    for (const auto& row : bs.rows()) {
-      if (row.kind == kind) {
-        sub.add_row(row.name, row.kind, row.pattern);
+    for (std::size_t r = 0; r < bs.num_rows(); ++r) {
+      if (bs.row(r).kind == kind) {
+        sub.append_rows(bs, r, 1);
       }
     }
     if (sub.num_rows() == 0) {
@@ -49,9 +49,9 @@ int main() {
 
   // What the RCM makes of the routing switches.
   config::Bitstream routing(bs.num_contexts());
-  for (const auto& row : bs.rows()) {
-    if (row.kind == config::ResourceKind::kRoutingSwitch) {
-      routing.add_row(row.name, row.kind, row.pattern);
+  for (std::size_t r = 0; r < bs.num_rows(); ++r) {
+    if (bs.row(r).kind == config::ResourceKind::kRoutingSwitch) {
+      routing.append_rows(bs, r, 1);
     }
   }
   const rcm::ContextDecoder flat(routing,

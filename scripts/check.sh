@@ -9,7 +9,9 @@
 # sizes so the hot paths are exercised, not just compiled, and diff the
 # smoke BENCH_JSON counters against the pinned baselines
 # (scripts/bench_guard.py) so queue-traffic and QoR regressions of the
-# maze engine, the placer and the flow fail CI.
+# maze engine, the placer and the flow fail CI, and build and smoke the
+# end-to-end benchmark (perfbench/) on all three workloads, requiring
+# zero failed operations.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -euo pipefail
@@ -47,6 +49,19 @@ echo "--- bench smoke runs ---"
 "$BUILD_DIR"/bench_flow_end2end --smoke | tee "$BUILD_DIR"/bench_flow_smoke.log
 "$BUILD_DIR"/bench_routing_delay --smoke | tee "$BUILD_DIR"/bench_routing_smoke.log
 "$BUILD_DIR"/bench_incremental --smoke | tee "$BUILD_DIR"/bench_incremental_smoke.log
+
+echo "--- perfbench smoke (every workload, untraced and traced) ---"
+# perfbench/ is the frozen end-to-end benchmark; building and running it
+# here keeps it compiling against the library's API, and its last line
+# must report no failed operation.
+for workload in cold_sweep edit_session closure; do
+  for trace in 0 1; do
+    result=$(CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
+    python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+      "$result" || { echo "perfbench $workload trace=$trace: $result"; exit 1; }
+  done
+done
 
 echo "--- bench regression guard ---"
 python3 scripts/bench_guard.py --baseline BENCH_PLACER.json \

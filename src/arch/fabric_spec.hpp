@@ -43,6 +43,9 @@ struct FabricSpec {
 
   std::size_t num_cells() const { return width * height; }
 
+  /// Field-wise equality: equal specs build identical routing graphs.
+  bool operator==(const FabricSpec&) const = default;
+
   /// Throws InvalidArgument when the combination is unbuildable.
   void validate() const;
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "arch/fabric_spec.hpp"
+#include "config/bitstream.hpp"
 
 namespace mcfpga::arch {
 
@@ -95,9 +96,16 @@ class FanoutRange {
   const EdgeId* last_;
 };
 
-class RoutingGraph {
+/// Immutable once built; a compile shares one graph (shared_ptr<const>)
+/// between its stages, its result, the device object and the names of its
+/// bitstream's routing rows.
+class RoutingGraph : public config::SwitchNameSource {
  public:
   explicit RoutingGraph(const FabricSpec& spec);
+
+  const std::string& switch_name(std::size_t switch_id) const override {
+    return rr_switch(static_cast<SwitchId>(switch_id)).name;
+  }
 
   const FabricSpec& spec() const { return spec_; }
 

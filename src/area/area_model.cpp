@@ -1,8 +1,8 @@
 #include "area/area_model.hpp"
 
 #include <unordered_map>
+#include <unordered_set>
 
-#include "common/bitvector.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "config/context_id.hpp"
@@ -20,56 +20,82 @@ double AreaModel::conventional_switch(std::size_t num_contexts) const {
          mux_tree(base_, num_contexts) + base_.pass_gate;
 }
 
-AreaBreakdown AreaModel::rcm_switch_block(
-    const config::Bitstream& block_rows, const ComparisonOptions& options,
-    std::size_t* networks, std::size_t* ses, std::size_t* taps) const {
+namespace {
+
+/// What the area model prices of one pattern's synthesized decoder.
+struct DecoderCost {
+  std::size_t ses = 0;
+  std::size_t input_controllers = 0;
+  std::size_t programmable_switches = 0;
+};
+
+/// Decoder cost per distinct pattern over one pricing call: the decoder
+/// network is a pure function of the pattern, so every block shares one
+/// synthesis per pattern.
+using DecoderCostMemo =
+    std::unordered_map<config::ContextPattern, DecoderCost,
+                       config::ContextPatternHash>;
+
+AreaBreakdown price_block(const DeviceLibrary& base,
+                          const config::Bitstream& block_rows,
+                          const ComparisonOptions& options,
+                          DecoderCostMemo& memo, std::size_t* networks,
+                          std::size_t* ses, std::size_t* taps) {
   const DeviceLibrary& rcm = options.rcm_library;
   AreaBreakdown area;
 
-  std::unordered_map<BitVector, bool, BitVectorHash> seen;
+  std::unordered_set<config::ContextPattern, config::ContextPatternHash> seen;
   for (const auto& row : block_rows.rows()) {
-    const bool share = options.share_identical_patterns;
-    if (share) {
-      const auto it = seen.find(row.pattern.values());
-      if (it != seen.end()) {
-        // Inter-row redundancy: reuse the existing network's generated bit
-        // through a tap (track crossing + routing pass-gate).
-        area.routing_pass += rcm.shared_tap;
-        if (taps != nullptr) {
-          ++*taps;
-        }
-        continue;
+    if (options.share_identical_patterns && !seen.insert(row.pattern).second) {
+      // Inter-row redundancy: reuse the existing network's generated bit
+      // through a tap (track crossing + routing pass-gate).
+      area.routing_pass += rcm.shared_tap;
+      if (taps != nullptr) {
+        ++*taps;
       }
-      seen.emplace(row.pattern.values(), true);
+      continue;
     }
-    const rcm::DecoderNetwork net = rcm::synthesize_decoder(row.pattern);
+    const auto [it, inserted] = memo.try_emplace(row.pattern);
+    if (inserted) {
+      const rcm::DecoderNetwork net = rcm::synthesize_decoder(row.pattern);
+      it->second = DecoderCost{net.se_count(), net.input_controller_count(),
+                               net.programmable_switch_count()};
+    }
+    const DecoderCost& net = it->second;
     // SE storage/mux/pass split: an SE is 2 SRAM + mux2 + pass-gate; we
     // itemize proportionally so breakdowns stay meaningful across device
     // libraries.
-    const double se_area =
-        static_cast<double>(net.se_count()) * rcm.switch_element;
-    const double storage_share = (2.0 * base_.sram_bit) /
-                                 (2.0 * base_.sram_bit + base_.mux2_stage +
-                                  base_.pass_gate);
-    const double mux_share = base_.mux2_stage /
-                             (2.0 * base_.sram_bit + base_.mux2_stage +
-                              base_.pass_gate);
+    const double se_area = static_cast<double>(net.ses) * rcm.switch_element;
+    const double storage_share = (2.0 * base.sram_bit) /
+                                 (2.0 * base.sram_bit + base.mux2_stage +
+                                  base.pass_gate);
+    const double mux_share = base.mux2_stage /
+                             (2.0 * base.sram_bit + base.mux2_stage +
+                              base.pass_gate);
     area.routing_memory += se_area * storage_share;
     area.routing_mux += se_area * mux_share;
     area.routing_pass += se_area * (1.0 - storage_share - mux_share);
     area.rcm_overhead +=
-        static_cast<double>(net.input_controller_count()) *
-            rcm.input_controller +
-        static_cast<double>(net.programmable_switch_count()) *
+        static_cast<double>(net.input_controllers) * rcm.input_controller +
+        static_cast<double>(net.programmable_switches) *
             rcm.programmable_switch;
     if (networks != nullptr) {
       ++*networks;
     }
     if (ses != nullptr) {
-      *ses += net.se_count();
+      *ses += net.ses;
     }
   }
   return area;
+}
+
+}  // namespace
+
+AreaBreakdown AreaModel::rcm_switch_block(
+    const config::Bitstream& block_rows, const ComparisonOptions& options,
+    std::size_t* networks, std::size_t* ses, std::size_t* taps) const {
+  DecoderCostMemo memo;
+  return price_block(base_, block_rows, options, memo, networks, ses, taps);
 }
 
 double AreaModel::conventional_logic_block(
@@ -115,25 +141,20 @@ ComparisonReport AreaModel::compare_fabric(
   const std::size_t n = spec.num_contexts;
 
   // --- Routing fabric -----------------------------------------------------
+  DecoderCostMemo memo;
   std::size_t total_rows = 0;
   for (const auto& block : switch_blocks) {
     total_rows += block.num_rows();
-
-    report.proposed = [&] {
-      AreaBreakdown acc = report.proposed;
-      const AreaBreakdown blk = rcm_switch_block(
-          block, options, &report.decoder_networks, &report.decoder_ses,
-          &report.shared_taps);
-      acc.routing_memory += blk.routing_memory;
-      acc.routing_mux += blk.routing_mux;
-      acc.routing_pass += blk.routing_pass;
-      acc.rcm_overhead += blk.rcm_overhead;
-      return acc;
-    }();
+    const AreaBreakdown blk =
+        price_block(base_, block, options, memo, &report.decoder_networks,
+                    &report.decoder_ses, &report.shared_taps);
+    report.proposed.routing_memory += blk.routing_memory;
+    report.proposed.routing_mux += blk.routing_mux;
+    report.proposed.routing_pass += blk.routing_pass;
+    report.proposed.rcm_overhead += blk.rcm_overhead;
   }
   report.switch_rows = total_rows;
 
-  const double conv_switch = conventional_switch(n);
   report.conventional.routing_memory +=
       static_cast<double>(total_rows) * static_cast<double>(n) *
       base_.sram_bit;
@@ -141,7 +162,6 @@ ComparisonReport AreaModel::compare_fabric(
       static_cast<double>(total_rows) * mux_tree(base_, n);
   report.conventional.routing_pass +=
       static_cast<double>(total_rows) * base_.pass_gate;
-  (void)conv_switch;
 
   // --- Logic fabric --------------------------------------------------------
   const std::size_t lbs = spec.num_cells();

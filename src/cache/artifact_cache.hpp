@@ -1,103 +1,23 @@
 // In-memory content-addressed artifact store: a bounded, LRU-evicted map
-// from 64-bit content keys (cache/key.hpp) to immutable stage artifacts,
-// plus the pattern interner that stores each distinct switch/bitstream
-// ContextPattern once across every cached design.
+// from 64-bit content keys (cache/key.hpp) to immutable stage artifacts.
 //
 // The cache is type-erased so one store serves every stage's artifact
 // type; find<T>() treats a key whose stored type differs as a miss (keys
 // are content hashes, so this only triggers on a 64-bit collision).
 // Artifacts are handed out as shared_ptr<const T>: eviction drops the
-// cache's reference, never a consumer's, and artifacts holding interned
-// pattern ids release them from their destructors (PatternSet), so LRU
-// eviction and interning compose without dangling ids.
+// cache's reference, never a consumer's.
 //
-// Neither class is thread-safe; the compile service serializes access.
+// Not thread-safe; the compile service serializes access.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <typeinfo>
 #include <unordered_map>
-#include <vector>
-
-#include "common/bitvector.hpp"
-#include "config/pattern.hpp"
 
 namespace mcfpga::cache {
-
-/// Deduplicating, refcounted store of ContextPatterns.  Identical patterns
-/// (by per-context values) share one id; freed ids are recycled
-/// lowest-first, so id assignment is deterministic for a given
-/// intern/release sequence.
-class PatternInterner {
- public:
-  using Id = std::uint32_t;
-
-  /// Returns the id for `pattern`, storing it on first sight; the caller
-  /// owns one reference (release() it).
-  Id intern(const config::ContextPattern& pattern);
-  /// Adds a reference to an existing id.
-  void retain(Id id);
-  /// Drops a reference; the last release recycles the id.
-  void release(Id id);
-
-  const config::ContextPattern& pattern(Id id) const;
-  std::size_t ref_count(Id id) const;
-
-  /// Distinct live patterns.
-  std::size_t num_live() const { return index_.size(); }
-  /// Total intern() calls that found an existing pattern.
-  std::size_t dedup_hits() const { return dedup_hits_; }
-  /// Approximate heap bytes of the live patterns.
-  std::size_t pattern_bytes() const;
-
- private:
-  struct Slot {
-    /// Placeholder shape (smallest valid context count); overwritten by
-    /// the first intern() into this slot.
-    config::ContextPattern pattern{2};
-    std::size_t refs = 0;
-  };
-  Slot& checked_slot(Id id);
-  const Slot& checked_slot(Id id) const;
-
-  std::vector<Slot> slots_;
-  std::unordered_map<BitVector, Id, BitVectorHash> index_;
-  std::deque<Id> free_ids_;
-  std::size_t dedup_hits_ = 0;
-};
-
-/// Order-preserving owning collection of interner ids (duplicates
-/// allowed).  Copying retains every id, destruction releases them — the
-/// RAII edge that keeps cached artifacts and the interner consistent
-/// under LRU eviction.
-class PatternSet {
- public:
-  PatternSet() = default;
-  explicit PatternSet(PatternInterner* interner) : interner_(interner) {}
-  PatternSet(const PatternSet& other);
-  PatternSet& operator=(const PatternSet& other);
-  PatternSet(PatternSet&& other) noexcept;
-  PatternSet& operator=(PatternSet&& other) noexcept;
-  ~PatternSet() { clear(); }
-
-  void add(const config::ContextPattern& pattern) {
-    ids_.push_back(interner_->intern(pattern));
-  }
-  const config::ContextPattern& pattern(std::size_t i) const {
-    return interner_->pattern(ids_.at(i));
-  }
-  std::size_t size() const { return ids_.size(); }
-  const std::vector<PatternInterner::Id>& ids() const { return ids_; }
-  void clear();
-
- private:
-  PatternInterner* interner_ = nullptr;
-  std::vector<PatternInterner::Id> ids_;
-};
 
 /// Bounded LRU store of immutable artifacts keyed by content hash.
 class ArtifactCache {

@@ -175,16 +175,13 @@ ProgramDelta run_program_incremental(core::FlowContext& ctx,
   }
 
   ctx.program.switch_patterns = ctx.routing.switch_patterns;
-  config::Bitstream bs(n);
-  // Routing rows, exactly as RouteResult::to_bitstream orders them.
+  // Routing rows are a switch id and a packed pattern each, so they are
+  // emitted whole; only the accounting tells kept patterns from changed.
+  config::Bitstream bs = ctx.routing.to_bitstream(ctx.graph);
   for (std::size_t s = 0; s < num_switches; ++s) {
-    const config::BitstreamRow& row = pb.row(s);
     if (ctx.routing.switch_patterns[s] == prev.routing.switch_patterns[s]) {
-      bs.add_row(row.name, row.kind, row.pattern);
       ++out.rows_reused;
     } else {
-      bs.add_row(row.name, config::ResourceKind::kRoutingSwitch,
-                 ctx.routing.switch_patterns[s]);
       ++out.rows_reprogrammed;
     }
   }
@@ -205,10 +202,7 @@ ProgramDelta run_program_incremental(core::FlowContext& ctx,
       return full_reprogram();
     }
     if (lb_recipe_unchanged(ctx, prev, k)) {
-      for (std::size_t r = 0; r < cached_rows; ++r) {
-        const config::BitstreamRow& row = pb.row(cursor + r);
-        bs.add_row(row.name, row.kind, row.pattern);
-      }
+      bs.append_rows(pb, cursor, cached_rows);
       out.rows_reused += cached_rows;
       ctx.program.lbs.push_back(cached);
     } else {
@@ -281,7 +275,7 @@ Compiled CompileService::compile(const netlist::MultiContextNetlist& netlist,
   core::FlowContext ctx = core::make_flow_context(netlist, spec, options);
   cache_.attach(ctx);
   ctx.observer = observer;
-  const ArtifactCache::Counters before = cache_.stats().counters;
+  const ArtifactCache::Counters before = cache_.counters();
   core::run_pipeline(ctx, options.closure_iterations >= 2
                               ? core::closure_pipeline()
                               : core::default_pipeline());
@@ -344,7 +338,7 @@ Compiled CompileService::compile_incremental(
       core::make_flow_context(edited, previous.spec, options);
   cache_.attach(ctx);
   ctx.observer = observer;
-  const ArtifactCache::Counters counters_before = cache_.stats().counters;
+  const ArtifactCache::Counters counters_before = cache_.counters();
   const auto& pipeline = core::default_pipeline();
   core::run_pipeline(
       ctx, std::vector<const core::Stage*>(pipeline.begin(),
@@ -357,11 +351,12 @@ Compiled CompileService::compile_incremental(
   // --- compatibility gates: the previous physical world must still fit --
   observe_start(observer, "place");
   const Clock::time_point place_start = Clock::now();
-  core::size_fabric_and_build_graph(ctx);
-  if (ctx.spec.width != previous.design.fabric.width ||
-      ctx.spec.height != previous.design.fabric.height) {
+  core::size_fabric(ctx);
+  if (ctx.spec != previous.design.fabric) {
     return fallback(previous, edited, options, "fabric resized", observer);
   }
+  // Same grown spec, so the previous design's graph is this one's too.
+  core::attach_graph(ctx, previous.design.graph);
   if (ctx.clusters.size() != previous.design.placement.cluster_pos.size()) {
     return fallback(previous, edited, options, "cluster count changed",
                     observer);
@@ -628,12 +623,10 @@ Compiled CompileService::compile_incremental(
 void CompileService::fill_cache_stats(
     core::CompiledDesign& design,
     const ArtifactCache::Counters& before) const {
-  const FlowCache::Stats now = cache_.stats();
-  design.cache.hits = now.counters.hits - before.hits;
-  design.cache.misses = now.counters.misses - before.misses;
-  design.cache.evictions = now.counters.evictions;
-  design.cache.interned_patterns = now.live_patterns;
-  design.cache.pattern_dedup_hits = now.pattern_dedup_hits;
+  const ArtifactCache::Counters now = cache_.counters();
+  design.cache.hits = now.hits - before.hits;
+  design.cache.misses = now.misses - before.misses;
+  design.cache.evictions = now.evictions;
   design.cache.delta_fallback_counts = fallback_reasons();
 }
 

@@ -13,10 +13,8 @@ namespace {
 
 // --- stored artifact types ---------------------------------------------------
 // One immutable value snapshot per stage, exactly the FlowContext fields
-// the stage's contract says it produces (core/stages.hpp header comment).
-// Switch patterns and bitstream rows are interned: the artifact keeps
-// refcounted PatternSet ids and the owning FlowCache's interner stores
-// each distinct pattern once across every cached design.
+// the stage's contract says it produces (core/stages.hpp header comment),
+// minus the routing graph (FlowCache::graph_for supplies it on replay).
 
 struct TechMapArtifact {
   netlist::MultiContextNetlist netlist;
@@ -48,17 +46,11 @@ struct PlaceArtifact {
   place::Placement placement;
 };
 
-/// A RouteResult with its switch patterns swapped out for interner ids.
-struct RoutingSnapshot {
-  route::RouteResult routing;  ///< switch_patterns left empty.
-  PatternSet patterns;         ///< One id per switch, in SwitchId order.
-};
-
 struct RouteArtifact {
   std::vector<timing::ContextTimingSpec> timing_specs;
   std::vector<std::vector<std::size_t>> net_class;
   std::vector<std::vector<std::vector<core::SinkKey>>> sink_keys;
-  RoutingSnapshot routing;
+  route::RouteResult routing;
   route::RouteHistory history;
 };
 
@@ -68,15 +60,8 @@ struct TimingArtifact {
 };
 
 struct ProgramArtifact {
-  sim::FabricProgram program;  ///< switch_patterns left empty (interned).
-  PatternSet program_patterns;
-  struct Row {
-    std::string name;
-    config::ResourceKind kind;
-  };
-  std::vector<Row> rows;   ///< Bitstream rows; patterns interned below.
-  PatternSet row_patterns;  ///< Parallel to rows.
-  std::size_t bitstream_contexts = 0;
+  sim::FabricProgram program;
+  config::Bitstream bitstream;  ///< Without its switch-name source.
 };
 
 /// The whole Place/Route/Timing block of a closure-loop compile, cached as
@@ -87,7 +72,7 @@ struct ClosureArtifact {
   std::vector<timing::ContextTimingSpec> timing_specs;
   std::vector<std::vector<std::size_t>> net_class;
   std::vector<std::vector<std::vector<core::SinkKey>>> sink_keys;
-  RoutingSnapshot routing;
+  route::RouteResult routing;
   route::RouteHistory history;
   std::vector<timing::TimingReport> reports;
   std::vector<core::ContextStats> stats;
@@ -116,7 +101,8 @@ std::size_t bytes_of(const netlist::MultiContextNetlist& nl) {
 }
 
 std::size_t bytes_of(const route::RouteResult& r) {
-  std::size_t total = 128 + r.context_summary.size() * 80;
+  std::size_t total = 128 + r.context_summary.size() * 80 +
+                      r.switch_patterns.size() * sizeof(config::ContextPattern);
   for (const auto& nets : r.nets) {
     for (const auto& net : nets) {
       total += 64 + bytes_of(net.name);
@@ -175,27 +161,21 @@ std::size_t bytes_of(const route::RouteHistory& h) {
   return total;
 }
 
-// --- intern/materialize helpers ---------------------------------------------
-
-RoutingSnapshot snapshot_routing(const route::RouteResult& routing,
-                                 PatternInterner& interner) {
-  RoutingSnapshot snap;
-  snap.routing = routing;
-  snap.patterns = PatternSet(&interner);
-  for (const auto& pattern : snap.routing.switch_patterns) {
-    snap.patterns.add(pattern);
-  }
-  snap.routing.switch_patterns.clear();
-  return snap;
+/// Looks `key` up under the cache's lock.  The snapshot handed back is
+/// immutable, so restoring from it needs no lock.
+template <typename T>
+std::shared_ptr<const T> locked_find(std::mutex& mu, ArtifactCache& store,
+                                     std::uint64_t key) {
+  const std::lock_guard<std::mutex> lock(mu);
+  return store.find<T>(key);
 }
 
-route::RouteResult materialize_routing(const RoutingSnapshot& snap) {
-  route::RouteResult routing = snap.routing;
-  routing.switch_patterns.reserve(snap.patterns.size());
-  for (std::size_t i = 0; i < snap.patterns.size(); ++i) {
-    routing.switch_patterns.push_back(snap.patterns.pattern(i));
-  }
-  return routing;
+/// Publishes an artifact built outside the lock.
+template <typename T>
+void locked_store(std::mutex& mu, ArtifactCache& store, std::uint64_t key,
+                  std::shared_ptr<const T> value, std::size_t bytes) {
+  const std::lock_guard<std::mutex> lock(mu);
+  store.store<T>(key, std::move(value), bytes);
 }
 
 }  // namespace
@@ -208,45 +188,52 @@ void FlowCache::attach(core::FlowContext& ctx) {
   ctx.cache_key_valid = true;
 }
 
-FlowCache::Stats FlowCache::stats() const {
+ArtifactCache::Counters FlowCache::counters() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  Stats s;
-  s.counters = artifacts_.counters();
-  s.live_patterns = interner_.num_live();
-  s.pattern_dedup_hits = interner_.dedup_hits();
-  return s;
+  return artifacts_.counters();
+}
+
+std::shared_ptr<const arch::RoutingGraph> FlowCache::graph_for(
+    const arch::FabricSpec& spec) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(graphs_,
+                [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<const arch::RoutingGraph>& slot =
+      graphs_[hash_fabric_spec(spec)];
+  std::shared_ptr<const arch::RoutingGraph> graph = slot.lock();
+  if (graph == nullptr || graph->spec() != spec) {
+    graph = std::make_shared<const arch::RoutingGraph>(spec);
+    slot = graph;
+  }
+  return graph;
 }
 
 bool FlowCache::before_stage(const char* stage, core::FlowContext& ctx) {
   if (!ctx.cache_key_valid) {
     return false;
   }
-  // One lock over lookup + restore: restores copy out of shared_ptr
-  // snapshots and materialize patterns through the interner, both of
-  // which a concurrent publish could invalidate mid-read.
-  const std::lock_guard<std::mutex> lock(mu_);
   ctx.cache_key = stage_key(ctx.cache_key, stage);
   const std::uint64_t key = ctx.cache_key;
   const std::string_view name(stage);
 
   if (name == "tech_map") {
-    if (const auto a = artifacts_.find<TechMapArtifact>(key)) {
+    if (const auto a = locked_find<TechMapArtifact>(mu_, artifacts_, key)) {
       ctx.netlist = a->netlist;
       return true;
     }
   } else if (name == "sharing") {
-    if (const auto a = artifacts_.find<SharingArtifact>(key)) {
+    if (const auto a = locked_find<SharingArtifact>(mu_, artifacts_, key)) {
       ctx.sharing = a->sharing;
       ctx.uses = a->uses;
       return true;
     }
   } else if (name == "plane_alloc") {
-    if (const auto a = artifacts_.find<PlaneArtifact>(key)) {
+    if (const auto a = locked_find<PlaneArtifact>(mu_, artifacts_, key)) {
       ctx.planes = a->planes;
       return true;
     }
   } else if (name == "cluster") {
-    if (const auto a = artifacts_.find<ClusterArtifact>(key)) {
+    if (const auto a = locked_find<ClusterArtifact>(mu_, artifacts_, key)) {
       ctx.clusters = a->clusters;
       ctx.slot_cluster = a->slot_cluster;
       ctx.slot_output = a->slot_output;
@@ -259,56 +246,49 @@ bool FlowCache::before_stage(const char* stage, core::FlowContext& ctx) {
       return true;
     }
   } else if (name == "place") {
-    if (const auto a = artifacts_.find<PlaceArtifact>(key)) {
+    if (const auto a = locked_find<PlaceArtifact>(mu_, artifacts_, key)) {
       // The graph is deterministic in the grown spec, so restoring the
-      // spec and rebuilding it replays PlaceStage's physical world; the
-      // flow_timing / placement_build by-products stay absent and their
-      // consumers rebuild them on demand (both are pure functions of the
-      // clustering).
+      // spec and taking its graph (graph_for, through ctx.cache) replays
+      // PlaceStage's physical world; the flow_timing / placement_build
+      // by-products stay absent and their consumers rebuild them on
+      // demand (both are pure functions of the clustering).
       ctx.spec = a->spec;
-      core::size_fabric_and_build_graph(ctx);
+      core::attach_graph(ctx);
       ctx.placement = a->placement;
       return true;
     }
   } else if (name == "route") {
-    if (const auto a = artifacts_.find<RouteArtifact>(key)) {
+    if (const auto a = locked_find<RouteArtifact>(mu_, artifacts_, key)) {
       ctx.timing_specs = a->timing_specs;
       ctx.net_class = a->net_class;
       ctx.sink_keys = a->sink_keys;
-      ctx.routing = materialize_routing(a->routing);
+      ctx.routing = a->routing;
       ctx.route_history = a->history;
       ctx.flow_timing.reset();  // replays RouteStage consuming the cache
       return true;
     }
   } else if (name == "timing") {
-    if (const auto a = artifacts_.find<TimingArtifact>(key)) {
+    if (const auto a = locked_find<TimingArtifact>(mu_, artifacts_, key)) {
       ctx.timing_reports = a->reports;
       ctx.context_stats = a->stats;
       return true;
     }
   } else if (name == "program") {
-    if (const auto a = artifacts_.find<ProgramArtifact>(key)) {
+    if (const auto a = locked_find<ProgramArtifact>(mu_, artifacts_, key)) {
       ctx.program = a->program;
-      ctx.program.switch_patterns.reserve(a->program_patterns.size());
-      for (std::size_t i = 0; i < a->program_patterns.size(); ++i) {
-        ctx.program.switch_patterns.push_back(a->program_patterns.pattern(i));
-      }
-      ctx.full_bitstream = config::Bitstream(a->bitstream_contexts);
-      for (std::size_t r = 0; r < a->rows.size(); ++r) {
-        ctx.full_bitstream.add_row(a->rows[r].name, a->rows[r].kind,
-                                   a->row_patterns.pattern(r));
-      }
+      ctx.full_bitstream = a->bitstream;
+      ctx.full_bitstream.set_switch_names(ctx.graph);
       return true;
     }
   } else if (name == "closure") {
-    if (const auto a = artifacts_.find<ClosureArtifact>(key)) {
+    if (const auto a = locked_find<ClosureArtifact>(mu_, artifacts_, key)) {
       ctx.spec = a->spec;
-      core::size_fabric_and_build_graph(ctx);
+      core::attach_graph(ctx);
       ctx.placement = a->placement;
       ctx.timing_specs = a->timing_specs;
       ctx.net_class = a->net_class;
       ctx.sink_keys = a->sink_keys;
-      ctx.routing = materialize_routing(a->routing);
+      ctx.routing = a->routing;
       ctx.route_history = a->history;
       ctx.timing_reports = a->reports;
       ctx.context_stats = a->stats;
@@ -323,7 +303,6 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
   if (!ctx.cache_key_valid) {
     return;
   }
-  const std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t key = ctx.cache_key;
   const std::string_view name(stage);
 
@@ -331,7 +310,7 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
     auto a = std::make_shared<TechMapArtifact>();
     a->netlist = ctx.netlist;
     const std::size_t bytes = bytes_of(a->netlist);
-    artifacts_.store<TechMapArtifact>(key, std::move(a), bytes);
+    locked_store<TechMapArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "sharing") {
     auto a = std::make_shared<SharingArtifact>();
     a->sharing = ctx.sharing;
@@ -341,12 +320,12 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
       bytes += 24 + per_ctx.size() * 8;
     }
     bytes += a->sharing.classes.size() * 96 + a->uses.size() * 96;
-    artifacts_.store<SharingArtifact>(key, std::move(a), bytes);
+    locked_store<SharingArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "plane_alloc") {
     auto a = std::make_shared<PlaneArtifact>();
     a->planes = ctx.planes;
     const std::size_t bytes = 128 + a->planes.slots.size() * 160;
-    artifacts_.store<PlaneArtifact>(key, std::move(a), bytes);
+    locked_store<PlaneArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "cluster") {
     auto a = std::make_shared<ClusterArtifact>();
     a->clusters = ctx.clusters;
@@ -366,55 +345,45 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
     for (const auto& [n, drivers] : a->output_driver) {
       bytes += 48 + bytes_of(n) + drivers.size() * 8;
     }
-    artifacts_.store<ClusterArtifact>(key, std::move(a), bytes);
+    locked_store<ClusterArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "place") {
     auto a = std::make_shared<PlaceArtifact>();
     a->spec = ctx.spec;
     a->placement = ctx.placement;
     const std::size_t bytes = 128 + bytes_of(a->placement);
-    artifacts_.store<PlaceArtifact>(key, std::move(a), bytes);
+    locked_store<PlaceArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "route") {
     auto a = std::make_shared<RouteArtifact>();
     a->timing_specs = ctx.timing_specs;
     a->net_class = ctx.net_class;
     a->sink_keys = ctx.sink_keys;
-    a->routing = snapshot_routing(ctx.routing, interner_);
+    a->routing = ctx.routing;
     a->history = ctx.route_history;
     const std::size_t bytes = bytes_of(a->timing_specs) +
                               sink_keys_bytes(a->sink_keys) +
-                              bytes_of(a->routing.routing) +
-                              a->routing.patterns.size() * 4 +
-                              bytes_of(a->history);
-    artifacts_.store<RouteArtifact>(key, std::move(a), bytes);
+                              bytes_of(a->routing) + bytes_of(a->history);
+    locked_store<RouteArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "timing") {
     auto a = std::make_shared<TimingArtifact>();
     a->reports = ctx.timing_reports;
     a->stats = ctx.context_stats;
     const std::size_t bytes =
         bytes_of(a->reports) + a->stats.size() * sizeof(core::ContextStats);
-    artifacts_.store<TimingArtifact>(key, std::move(a), bytes);
+    locked_store<TimingArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "program") {
     auto a = std::make_shared<ProgramArtifact>();
     a->program = ctx.program;
-    a->program_patterns = PatternSet(&interner_);
-    for (const auto& pattern : a->program.switch_patterns) {
-      a->program_patterns.add(pattern);
-    }
-    a->program.switch_patterns.clear();
-    a->row_patterns = PatternSet(&interner_);
-    a->rows.reserve(ctx.full_bitstream.num_rows());
-    for (const auto& row : ctx.full_bitstream.rows()) {
-      a->rows.push_back(ProgramArtifact::Row{row.name, row.kind});
-      a->row_patterns.add(row.pattern);
-    }
-    a->bitstream_contexts = ctx.full_bitstream.num_contexts();
-    std::size_t bytes = 256 + a->program.lbs.size() * 256 +
-                        (a->program_patterns.size() +
-                         a->row_patterns.size()) * 4;
-    for (const auto& row : a->rows) {
-      bytes += 16 + bytes_of(row.name);
-    }
-    artifacts_.store<ProgramArtifact>(key, std::move(a), bytes);
+    a->bitstream = ctx.full_bitstream;
+    a->bitstream.set_switch_names(nullptr);
+    // Rows plus name references, and ~24 name bytes per non-switch row.
+    const std::size_t rows = a->bitstream.num_rows();
+    const std::size_t owned_names =
+        rows - a->bitstream.count_kind(config::ResourceKind::kRoutingSwitch);
+    const std::size_t bytes =
+        256 + a->program.lbs.size() * 256 +
+        a->program.switch_patterns.size() * sizeof(config::ContextPattern) +
+        rows * (sizeof(config::BitstreamRow) + 8) + owned_names * 24;
+    locked_store<ProgramArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   } else if (name == "closure") {
     auto a = std::make_shared<ClosureArtifact>();
     a->spec = ctx.spec;
@@ -422,17 +391,17 @@ void FlowCache::after_stage(const char* stage, core::FlowContext& ctx) {
     a->timing_specs = ctx.timing_specs;
     a->net_class = ctx.net_class;
     a->sink_keys = ctx.sink_keys;
-    a->routing = snapshot_routing(ctx.routing, interner_);
+    a->routing = ctx.routing;
     a->history = ctx.route_history;
     a->reports = ctx.timing_reports;
     a->stats = ctx.context_stats;
     a->closure_stats = ctx.closure_stats;
     const std::size_t bytes =
         128 + bytes_of(a->placement) + bytes_of(a->timing_specs) +
-        sink_keys_bytes(a->sink_keys) + bytes_of(a->routing.routing) +
+        sink_keys_bytes(a->sink_keys) + bytes_of(a->routing) +
         bytes_of(a->history) + bytes_of(a->reports) +
         a->closure_stats.size() * sizeof(core::ClosureIterationStats);
-    artifacts_.store<ClosureArtifact>(key, std::move(a), bytes);
+    locked_store<ClosureArtifact>(mu_, artifacts_, key, std::move(a), bytes);
   }
 }
 

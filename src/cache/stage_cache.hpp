@@ -10,20 +10,26 @@
 // tests/test_cache.cpp's fingerprint comparisons enforce — and a miss
 // lets the stage run, after which after_stage publishes its outputs.
 //
-// Stored artifacts are immutable value snapshots.  Switch patterns and
-// bitstream rows go through the PatternInterner, so a corpus of cached
-// designs stores each distinct ContextPattern once; artifacts hold
-// refcounted ids (PatternSet) and release them when evicted.
+// Stored artifacts are immutable value snapshots; patterns and bitstream
+// rows are stored directly (a pattern is two words).  No artifact keeps a
+// routing graph: a bitstream is stored without its switch-name source,
+// and replays take the graph of the restored spec from graph_for(), which
+// remembers one graph per distinct grown spec as a weak reference — a
+// graph is shared while any compile or design holds it, and the cache
+// never keeps one alive.
 //
-// Thread safety: the store and interner themselves are not thread-safe,
-// so FlowCache serializes every hook call (and the stats snapshot) behind
-// one mutex, so concurrent compiles can share ONE cache.  Stage
-// execution (the expensive part) happens outside the hook, so compiles
-// only contend on lookup/publish.
+// Thread safety: the artifact store and the graph memo are not
+// thread-safe, so FlowCache serializes every lookup, publish and memo
+// probe (and the counter snapshot) behind one mutex, so concurrent
+// compiles can share ONE cache.  Stage execution and restores out of the
+// immutable snapshots happen outside the lock.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <mutex>
+#include <unordered_map>
 
 #include "cache/artifact_cache.hpp"
 #include "core/stages.hpp"
@@ -40,29 +46,23 @@ class FlowCache : public core::StageCacheHook {
 
   bool before_stage(const char* stage, core::FlowContext& ctx) override;
   void after_stage(const char* stage, core::FlowContext& ctx) override;
+  std::shared_ptr<const arch::RoutingGraph> graph_for(
+      const arch::FabricSpec& spec) override;
 
-  /// Consistent locked snapshot of the store + interner counters, safe to
-  /// call while other threads compile (the accessors below are not).
-  struct Stats {
-    ArtifactCache::Counters counters;
-    std::size_t live_patterns = 0;
-    std::size_t pattern_dedup_hits = 0;
-  };
-  Stats stats() const;
+  /// Consistent locked snapshot of the store's counters, safe to call
+  /// while other threads compile (artifacts() is not).
+  ArtifactCache::Counters counters() const;
 
   /// Direct access for single-threaded callers (tests, benches).
   ArtifactCache& artifacts() { return artifacts_; }
   const ArtifactCache& artifacts() const { return artifacts_; }
-  PatternInterner& patterns() { return interner_; }
-  const PatternInterner& patterns() const { return interner_; }
 
  private:
   mutable std::mutex mu_;
-  // Declaration order is load-bearing: cached artifacts hold PatternSets
-  // that release interner ids from their destructors, so the interner
-  // must be destroyed AFTER the artifact store.
-  PatternInterner interner_;
   ArtifactCache artifacts_;
+  /// hash_fabric_spec(spec) -> the live graph of that spec, if any.
+  std::unordered_map<std::uint64_t, std::weak_ptr<const arch::RoutingGraph>>
+      graphs_;
 };
 
 }  // namespace mcfpga::cache

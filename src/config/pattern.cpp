@@ -19,15 +19,32 @@ std::string to_string(PatternClass cls) {
   return "?";
 }
 
-ContextPattern::ContextPattern(std::size_t num_contexts, bool value)
-    : values_(num_contexts, value) {
-  MCFPGA_REQUIRE(is_valid_context_count(num_contexts),
-                 "context count must be a power of two in [2, 64]");
+namespace {
+
+/// The low `n` bits set (n in [1, 64]).
+std::uint64_t low_mask(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
-ContextPattern::ContextPattern(BitVector values) : values_(std::move(values)) {
-  MCFPGA_REQUIRE(is_valid_context_count(values_.size()),
+}  // namespace
+
+ContextPattern::ContextPattern(std::size_t num_contexts, bool value)
+    : num_contexts_(num_contexts) {
+  MCFPGA_REQUIRE(is_valid_context_count(num_contexts),
                  "context count must be a power of two in [2, 64]");
+  word_ = value ? low_mask(num_contexts) : 0;
+}
+
+ContextPattern::ContextPattern(const BitVector& values)
+    : ContextPattern(values.size()) {
+  word_ = values.to_word();
+}
+
+ContextPattern ContextPattern::from_word(std::uint64_t word,
+                                         std::size_t num_contexts) {
+  ContextPattern p(num_contexts);
+  p.word_ = word & low_mask(num_contexts);
+  return p;
 }
 
 ContextPattern ContextPattern::from_string(const std::string& msb_first) {
@@ -46,11 +63,15 @@ ContextPattern ContextPattern::for_id_bit(std::size_t num_contexts,
   return p;
 }
 
-void ContextPattern::set_value(std::size_t context, bool value) {
-  values_.set(context, value);
+std::string ContextPattern::to_string() const {
+  std::string out(num_contexts_, '0');
+  for (std::size_t c = 0; c < num_contexts_; ++c) {
+    if (((word_ >> c) & 1U) != 0) {
+      out[num_contexts_ - 1 - c] = '1';
+    }
+  }
+  return out;
 }
-
-std::string ContextPattern::to_string() const { return values_.to_string(); }
 
 std::string PatternInfo::describe() const {
   switch (cls) {
@@ -68,7 +89,7 @@ PatternInfo classify(const ContextPattern& pattern) {
   const std::size_t n = pattern.num_contexts();
   PatternInfo info;
 
-  if (pattern.values().all_equal(false) || pattern.values().all_equal(true)) {
+  if (pattern.word() == 0 || pattern == ContextPattern(n, true)) {
     info.cls = PatternClass::kConstant;
     info.constant_value = pattern.value_in(0);
     return info;
@@ -97,7 +118,7 @@ std::vector<ContextPattern> all_patterns(std::size_t num_contexts) {
   std::vector<ContextPattern> out;
   out.reserve(count);
   for (std::size_t word = 0; word < count; ++word) {
-    out.emplace_back(BitVector::from_word(word, num_contexts));
+    out.push_back(ContextPattern::from_word(word, num_contexts));
   }
   return out;
 }

@@ -67,8 +67,9 @@ void write_bitstream(std::ostream& os, const Bitstream& bitstream) {
   os << kMagic << "\n";
   os << "contexts " << bitstream.num_contexts() << "\n";
   os << "rows " << bitstream.num_rows() << "\n";
-  for (const auto& row : bitstream.rows()) {
-    os << row.name << ' ' << to_string(row.kind) << ' '
+  for (std::size_t r = 0; r < bitstream.num_rows(); ++r) {
+    const BitstreamRow& row = bitstream.rows()[r];
+    os << bitstream.name(r) << ' ' << to_string(row.kind) << ' '
        << row.pattern.to_string() << "\n";
   }
 }

@@ -17,7 +17,7 @@ BitstreamStats compute_stats(const Bitstream& bitstream) {
     return stats;
   }
 
-  std::unordered_map<BitVector, std::size_t, BitVectorHash> groups;
+  std::unordered_map<ContextPattern, std::size_t, ContextPatternHash> groups;
   for (const auto& row : bitstream.rows()) {
     const PatternInfo info = classify(row.pattern);
     switch (info.cls) {
@@ -31,7 +31,7 @@ BitstreamStats compute_stats(const Bitstream& bitstream) {
         ++stats.complex_rows;
         break;
     }
-    ++groups[row.pattern.values()];
+    ++groups[row.pattern];
     ++stats.period_histogram[smallest_period(row.pattern)];
   }
 

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -106,8 +107,6 @@ struct CacheStats {
   std::size_t hits = 0;       ///< Stage artifacts served from cache.
   std::size_t misses = 0;     ///< Stage lookups that ran the stage.
   std::size_t evictions = 0;  ///< LRU evictions so far (cache lifetime).
-  std::size_t interned_patterns = 0;   ///< Distinct live ContextPatterns.
-  std::size_t pattern_dedup_hits = 0;  ///< Pattern stores folded into one.
   /// Delta path only (compile_incremental that did not fall back):
   bool delta = false;                  ///< Design came from the delta path.
   std::size_t nets_invalidated = 0;    ///< Summed over contexts.
@@ -155,6 +154,10 @@ struct ClosureIterationStats {
 
 struct CompiledDesign {
   arch::FabricSpec fabric;               ///< Possibly auto-grown.
+  /// The routing graph of `fabric`, built once per compile (or shared
+  /// with other live compiles of the same fabric through a stage cache)
+  /// and shared with the device object and the bitstream's switch names.
+  std::shared_ptr<const arch::RoutingGraph> graph;
   netlist::MultiContextNetlist netlist;  ///< Post tech-map.
   netlist::SharingAnalysis sharing;
   mapping::PlaneAllocation planes;

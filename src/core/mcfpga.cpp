@@ -9,11 +9,9 @@ namespace mcfpga::core {
 
 MCFPGA::MCFPGA(const netlist::MultiContextNetlist& netlist,
                const arch::FabricSpec& spec, const CompileOptions& options)
-    : design_(compile(netlist, spec, options)) {
-  graph_ = std::make_unique<arch::RoutingGraph>(design_.fabric);
-  simulator_ =
-      std::make_unique<sim::FabricSimulator>(*graph_, design_.program);
-}
+    : design_(compile(netlist, spec, options)),
+      simulator_(std::make_unique<sim::FabricSimulator>(*design_.graph,
+                                                        design_.program)) {}
 
 netlist::ValueMap MCFPGA::run(std::size_t context,
                               const netlist::ValueMap& inputs) const {
@@ -53,19 +51,22 @@ area::ComparisonReport MCFPGA::area_report(
     const area::ComparisonOptions& options) const {
   // Group the routing switches into their owning physical blocks; decoder
   // sharing (when enabled) happens within a block, never across blocks.
-  std::map<std::tuple<arch::SwitchOwner, std::int32_t, std::int32_t>,
-           config::Bitstream>
-      blocks;
-  const std::size_t n = design_.fabric.num_contexts;
-  for (std::size_t s = 0; s < graph_->num_switches(); ++s) {
-    const auto& sw = graph_->rr_switch(static_cast<arch::SwitchId>(s));
-    const auto key = std::make_tuple(sw.owner, sw.x, sw.y);
-    auto it = blocks.find(key);
-    if (it == blocks.end()) {
-      it = blocks.emplace(key, config::Bitstream(n)).first;
+  // Rows name their switch by id, so grouping copies no names, and a
+  // block's switches are mostly consecutive ids: one map probe per run.
+  using BlockKey = std::tuple<arch::SwitchOwner, std::int32_t, std::int32_t>;
+  const arch::RoutingGraph& graph = *design_.graph;
+  std::map<BlockKey, config::Bitstream> blocks;
+  config::Bitstream* block = nullptr;
+  BlockKey current;
+  for (std::size_t s = 0; s < graph.num_switches(); ++s) {
+    const auto& sw = graph.rr_switch(static_cast<arch::SwitchId>(s));
+    const BlockKey key(sw.owner, sw.x, sw.y);
+    if (block == nullptr || key != current) {
+      block = &blocks.try_emplace(key, design_.fabric.num_contexts)
+                   .first->second;
+      current = key;
     }
-    it->second.add_row(sw.name, config::ResourceKind::kRoutingSwitch,
-                       design_.routing.switch_patterns[s]);
+    block->add_switch_row(s, design_.routing.switch_patterns[s]);
   }
   std::vector<config::Bitstream> block_list;
   block_list.reserve(blocks.size());

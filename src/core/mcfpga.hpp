@@ -1,7 +1,7 @@
 // Top-level device object: compiles a multi-context netlist onto the
-// fabric, owns the routing graph and fabric simulator for the result, and
-// exposes the verification and evaluation entry points the benches and
-// examples drive.
+// fabric, programs a fabric simulator over the compile's own routing graph
+// (CompiledDesign::graph, never rebuilt), and exposes the verification and
+// evaluation entry points the benches and examples drive.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ class MCFPGA {
          const arch::FabricSpec& spec, const CompileOptions& options = {});
 
   const CompiledDesign& design() const { return design_; }
-  const arch::RoutingGraph& graph() const { return *graph_; }
+  const arch::RoutingGraph& graph() const { return *design_.graph; }
   const sim::FabricSimulator& simulator() const { return *simulator_; }
 
   /// Evaluates one context on the programmed fabric.
@@ -46,7 +46,6 @@ class MCFPGA {
 
  private:
   CompiledDesign design_;
-  std::unique_ptr<arch::RoutingGraph> graph_;
   std::unique_ptr<sim::FabricSimulator> simulator_;
 };
 

@@ -68,8 +68,6 @@ void print_design_report(std::ostream& os, const CompiledDesign& design) {
     cache.add_row({"stage hits", fmt_count(cs.hits)});
     cache.add_row({"stage misses", fmt_count(cs.misses)});
     cache.add_row({"evictions", fmt_count(cs.evictions)});
-    cache.add_row({"interned patterns", fmt_count(cs.interned_patterns)});
-    cache.add_row({"pattern dedup hits", fmt_count(cs.pattern_dedup_hits)});
     if (cs.delta) {
       cache.add_row({"delta recompile", "yes"});
       cache.add_row({"nets invalidated", fmt_count(cs.nets_invalidated)});

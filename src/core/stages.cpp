@@ -273,7 +273,7 @@ std::uint64_t resolved_placer_seed(const CompileOptions& options) {
              : options.placer.seed;
 }
 
-void size_fabric_and_build_graph(FlowContext& ctx) {
+void size_fabric(FlowContext& ctx) {
   if (ctx.options.auto_size) {
     while (ctx.spec.num_cells() < ctx.clusters.size() ||
            pads_available(ctx.spec) < ctx.num_terminals) {
@@ -291,7 +291,17 @@ void size_fabric_and_build_graph(FlowContext& ctx) {
                     std::to_string(ctx.spec.num_cells()) +
                     " cells available");
   }
-  ctx.graph = std::make_unique<arch::RoutingGraph>(ctx.spec);
+}
+
+void attach_graph(FlowContext& ctx,
+                  std::shared_ptr<const arch::RoutingGraph> reuse) {
+  if (reuse != nullptr && reuse->spec() == ctx.spec) {
+    ctx.graph = std::move(reuse);
+  } else if (ctx.cache != nullptr) {
+    ctx.graph = ctx.cache->graph_for(ctx.spec);
+  } else {
+    ctx.graph = std::make_shared<const arch::RoutingGraph>(ctx.spec);
+  }
   if (ctx.graph->num_pads() < ctx.num_terminals) {
     throw FlowError("fabric has too few I/O pads");
   }
@@ -324,7 +334,8 @@ std::map<std::size_t, double> logic_depth_class_criticality(FlowContext& ctx) {
 }
 
 void PlaceStage::run(FlowContext& ctx) const {
-  size_fabric_and_build_graph(ctx);
+  size_fabric(ctx);
+  attach_graph(ctx);
 
   PlacementBuild build = build_placement_problem(ctx);
   place::PlacementProblem& prob = build.problem;
@@ -548,7 +559,6 @@ std::size_t append_lb_rows(config::Bitstream& bitstream,
 
 void ProgramStage::run(FlowContext& ctx) const {
   const std::size_t n = ctx.spec.num_contexts;
-  const arch::RoutingGraph& graph = *ctx.graph;
 
   ctx.program.switch_patterns = ctx.routing.switch_patterns;
   for (std::size_t k = 0; k < ctx.clusters.size(); ++k) {
@@ -563,7 +573,7 @@ void ProgramStage::run(FlowContext& ctx) const {
 
   // Full-fabric bitstream: the routing rows come straight from the
   // per-context switch patterns the router committed (no net re-scan).
-  ctx.full_bitstream = ctx.routing.to_bitstream(graph);
+  ctx.full_bitstream = ctx.routing.to_bitstream(ctx.graph);
   for (const auto& lb : ctx.program.lbs) {
     append_lb_rows(ctx.full_bitstream, lb, n);
   }
@@ -634,6 +644,7 @@ void run_pipeline(FlowContext& ctx,
 CompiledDesign finalize_design(FlowContext&& ctx) {
   CompiledDesign d;
   d.fabric = ctx.spec;
+  d.graph = std::move(ctx.graph);
   d.netlist = std::move(ctx.netlist);
   d.sharing = std::move(ctx.sharing);
   d.planes = std::move(ctx.planes);

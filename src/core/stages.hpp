@@ -80,6 +80,10 @@ class StageCacheHook {
   virtual bool before_stage(const char* stage, FlowContext& ctx) = 0;
   /// Publishes the outputs `stage` just computed (called only on a miss).
   virtual void after_stage(const char* stage, FlowContext& ctx) = 0;
+  /// The routing graph of `spec`: one already in use for an equal spec
+  /// when the cache knows of one, else a new one.
+  virtual std::shared_ptr<const arch::RoutingGraph> graph_for(
+      const arch::FabricSpec& spec) = 0;
 };
 
 /// Stage-boundary observer: progress and timing spans plus cooperative
@@ -130,7 +134,7 @@ struct FlowContext {
   std::size_t num_terminals = 0;
 
   // --- PlaceStage ---------------------------------------------------------
-  std::unique_ptr<arch::RoutingGraph> graph;
+  std::shared_ptr<const arch::RoutingGraph> graph;
   place::Placement placement;
   /// Logical connection structure cached by PlaceStage in timing mode (it
   /// is placement-independent); RouteStage consumes and clears it,
@@ -257,13 +261,21 @@ PlacementBuild build_placement_problem(const FlowContext& ctx);
 void apply_class_criticality(PlacementBuild& build,
                              const std::map<std::size_t, double>& by_class);
 
-/// PlaceStage's fabric-sizing step, exposed for cache-hit replay and the
-/// delta-recompile driver: auto-grows ctx.spec (square-ish) until clusters
-/// and I/O terminals fit (options.auto_size), validates capacity (throws
-/// FlowError otherwise), and (re)builds ctx.graph — which is deterministic
-/// in the grown spec, so a cached placement plus this call reproduces
-/// PlaceStage's physical world exactly.
-void size_fabric_and_build_graph(FlowContext& ctx);
+/// PlaceStage's fabric-sizing step, exposed for the delta-recompile
+/// driver: auto-grows ctx.spec (square-ish) until clusters and I/O
+/// terminals fit (options.auto_size) and validates the cell count (throws
+/// FlowError otherwise).
+void size_fabric(FlowContext& ctx);
+
+/// Sets ctx.graph to the graph of ctx.spec — `reuse` when it was built
+/// for an equal spec, else from ctx.cache when one is attached (shared
+/// with other live compiles of the same spec), else a new one — and
+/// checks it has pads for every I/O terminal (throws FlowError
+/// otherwise).  The graph is deterministic in the spec, so a cached
+/// placement plus this call reproduces PlaceStage's physical world
+/// exactly.
+void attach_graph(FlowContext& ctx,
+                  std::shared_ptr<const arch::RoutingGraph> reuse = nullptr);
 
 /// The pre-route timing prior PlaceStage folds into net weights in placer
 /// timing mode: per driver class, the worst unit-switch (logic depth) STA

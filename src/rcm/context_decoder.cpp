@@ -10,11 +10,13 @@ ContextDecoder::ContextDecoder(const config::Bitstream& bitstream,
                                ContextDecoderOptions options)
     : num_contexts_(bitstream.num_contexts()) {
   row_to_network_.reserve(bitstream.num_rows());
-  std::unordered_map<BitVector, std::size_t, BitVectorHash> seen;
+  std::unordered_map<config::ContextPattern, std::size_t,
+                     config::ContextPatternHash>
+      seen;
 
   for (const auto& row : bitstream.rows()) {
     if (options.share_identical_patterns) {
-      const auto it = seen.find(row.pattern.values());
+      const auto it = seen.find(row.pattern);
       if (it != seen.end()) {
         row_to_network_.push_back(it->second);
         ++shared_taps_;
@@ -25,7 +27,7 @@ ContextDecoder::ContextDecoder(const config::Bitstream& bitstream,
     const std::size_t id = networks_.size() - 1;
     row_to_network_.push_back(id);
     if (options.share_identical_patterns) {
-      seen.emplace(row.pattern.values(), id);
+      seen.emplace(row.pattern, id);
     }
   }
 }

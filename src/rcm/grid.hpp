@@ -29,6 +29,8 @@ struct GridSpec {
   /// column, matching the figure's top-edge controller row.
   std::size_t input_controllers = 0;  // 0 -> derived as cols
 
+  bool operator==(const GridSpec&) const = default;
+
   std::size_t derived_crossings() const {
     return crossings != 0 ? crossings : (rows + 1) * (cols + 1);
   }

@@ -34,14 +34,14 @@ std::size_t RouteResult::critical_switches(std::size_t context) const {
 }
 
 config::Bitstream RouteResult::to_bitstream(
-    const arch::RoutingGraph& graph) const {
+    std::shared_ptr<const arch::RoutingGraph> graph) const {
   const std::size_t n =
       switch_patterns.empty() ? 0 : switch_patterns[0].num_contexts();
   config::Bitstream bs(n == 0 ? 2 : n);
   for (std::size_t s = 0; s < switch_patterns.size(); ++s) {
-    bs.add_row(graph.rr_switch(static_cast<arch::SwitchId>(s)).name,
-               config::ResourceKind::kRoutingSwitch, switch_patterns[s]);
+    bs.add_switch_row(s, switch_patterns[s]);
   }
+  bs.set_switch_names(std::move(graph));
   return bs;
 }
 

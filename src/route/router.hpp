@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -165,8 +166,9 @@ struct RouteResult {
   std::size_t critical_switches(std::size_t context) const;
   /// Full-fabric routing bitstream: one row per physical switch (including
   /// the never-used, constant-0 ones — they exist in silicon and dominate
-  /// the pattern census).
-  config::Bitstream to_bitstream(const arch::RoutingGraph& graph) const;
+  /// the pattern census), named by switch id through `graph`.
+  config::Bitstream to_bitstream(
+      std::shared_ptr<const arch::RoutingGraph> graph) const;
 };
 
 class Router {

@@ -27,6 +27,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// free node.  The defaults (0.5 * 1.6^39 ~ 5e7) never reach it.
 constexpr double kMaxPresentFactor = 1e12;
 
+/// Ceiling on a node's accumulated history cost, for the same reason: a
+/// large but finite history_increment would otherwise overflow a node's
+/// history to inf after a congested iteration or two.  The defaults add
+/// at most a few dozen per node over a whole negotiation.
+constexpr double kMaxHistory = 1e12;
+
 /// Epoch headroom: a pass can never consume this many expansions, so
 /// rewinding the stamps whenever a pass STARTS above the threshold keeps
 /// pooled cores (which live across thousands of passes) from ever wrapping
@@ -438,8 +444,10 @@ RouterCore::ContextResult RouterCore::route_pass(
     for (std::size_t n = 0; n < num_nodes; ++n) {
       if (occupancy_[n] > 1) {
         overused = true;
-        history_[n] += options_.history_increment *
-                       static_cast<double>(occupancy_[n] - 1);
+        history_[n] = std::min(
+            history_[n] + options_.history_increment *
+                              static_cast<double>(occupancy_[n] - 1),
+            kMaxHistory);
       }
     }
     if (!overused) {

@@ -22,26 +22,20 @@ config::Bitstream inject_fault(const config::Bitstream& golden,
   MCFPGA_REQUIRE(fault.row < golden.num_rows(), "fault row out of range");
   MCFPGA_REQUIRE(fault.context < golden.num_contexts(),
                  "fault context out of range");
-  config::Bitstream faulty(golden.num_contexts());
-  for (std::size_t r = 0; r < golden.num_rows(); ++r) {
-    const auto& row = golden.row(r);
-    config::ContextPattern pattern = row.pattern;
-    if (r == fault.row) {
-      switch (fault.kind) {
-        case FaultKind::kStuckAt0:
-          pattern = config::ContextPattern(golden.num_contexts(), false);
-          break;
-        case FaultKind::kStuckAt1:
-          pattern = config::ContextPattern(golden.num_contexts(), true);
-          break;
-        case FaultKind::kBitFlip:
-          pattern.set_value(fault.context,
-                            !pattern.value_in(fault.context));
-          break;
-      }
-    }
-    faulty.add_row(row.name, row.kind, std::move(pattern));
+  config::ContextPattern pattern = golden.row(fault.row).pattern;
+  switch (fault.kind) {
+    case FaultKind::kStuckAt0:
+      pattern = config::ContextPattern(golden.num_contexts(), false);
+      break;
+    case FaultKind::kStuckAt1:
+      pattern = config::ContextPattern(golden.num_contexts(), true);
+      break;
+    case FaultKind::kBitFlip:
+      pattern.set_value(fault.context, !pattern.value_in(fault.context));
+      break;
   }
+  config::Bitstream faulty = golden;
+  faulty.set_pattern(fault.row, pattern);
   return faulty;
 }
 

@@ -50,9 +50,7 @@ std::vector<config::Bitstream> generate_blocks(
   for (std::size_t start = 0; start < flat.num_rows(); start += block_rows) {
     config::Bitstream block(params.num_contexts);
     const std::size_t end = std::min(start + block_rows, flat.num_rows());
-    for (std::size_t r = start; r < end; ++r) {
-      block.add_row(flat.row(r).name, flat.row(r).kind, flat.row(r).pattern);
-    }
+    block.append_rows(flat, start, end - start);
     blocks.push_back(std::move(block));
   }
   return blocks;

@@ -93,7 +93,7 @@ TEST(SwitchBlock, BitstreamExport) {
   sb.program(1, ContextPattern::from_string("0101"));
   const auto bs = sb.to_bitstream();
   ASSERT_EQ(bs.num_rows(), 3u);
-  EXPECT_EQ(bs.row(1).name, "blk.p1");
+  EXPECT_EQ(bs.name(1), "blk.p1");
   EXPECT_EQ(bs.row(1).pattern.to_string(), "0101");
 }
 

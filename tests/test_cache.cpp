@@ -1,8 +1,8 @@
 // Tests for the content-addressed stage cache and the delta-recompile
 // driver (src/cache/): cache-enabled compiles are bit-identical to
 // uncached ones (cold and warm, across timing modes and closure), cache
-// hits are shared across worker counts, the LRU bounds hold, pattern
-// interning refcounts compose with eviction, delta recompiles of edited
+// hits are shared across worker counts, the LRU bounds hold, compiles of
+// one fabric share one routing graph, delta recompiles of edited
 // netlists stay functionally correct with full-recompile QoR, a
 // StageObserver can cancel either path without poisoning the service, and
 // concurrent compiles on one service match serial ones bit for bit.
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <exception>
+#include <memory>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -226,67 +227,32 @@ TEST(StageCache, ByteBoundNeverEvictsTheSoleEntry) {
   EXPECT_GT(service.artifacts().counters().evictions, 0u);
 }
 
-// --- pattern interning ------------------------------------------------------
+// --- shared routing graphs --------------------------------------------------
 
-TEST(PatternInterner, RefcountsDedupAndLowestFirstRecycling) {
-  PatternInterner interner;
-  const config::ContextPattern a(BitVector::from_string("0101"));
-  const config::ContextPattern b(BitVector::from_string("1111"));
-
-  const auto id_a = interner.intern(a);
-  EXPECT_EQ(interner.intern(config::ContextPattern(
-                BitVector::from_string("0101"))),
-            id_a);
-  EXPECT_EQ(interner.ref_count(id_a), 2u);
-  EXPECT_EQ(interner.dedup_hits(), 1u);
-  EXPECT_EQ(interner.num_live(), 1u);
-
-  const auto id_b = interner.intern(b);
-  EXPECT_NE(id_b, id_a);
-  EXPECT_EQ(interner.num_live(), 2u);
-
-  interner.release(id_a);
-  EXPECT_EQ(interner.ref_count(id_a), 1u);
-  interner.release(id_a);
-  EXPECT_EQ(interner.ref_count(id_a), 0u);
-  EXPECT_EQ(interner.num_live(), 1u);
-  EXPECT_THROW(interner.release(id_a), InvalidArgument);
-
-  // The dead id is recycled lowest-first for the next new pattern.
-  const auto id_c = interner.intern(config::ContextPattern(
-      BitVector::from_string("0011")));
-  EXPECT_EQ(id_c, id_a);
-}
-
-TEST(PatternInterner, PatternSetRetainsOnCopyReleasesOnDestroy) {
-  PatternInterner interner;
-  const config::ContextPattern p(BitVector::from_string("0110"));
-  {
-    PatternSet set(&interner);
-    set.add(p);
-    set.add(p);  // duplicate id, second reference
-    ASSERT_EQ(set.size(), 2u);
-    EXPECT_EQ(set.ids()[0], set.ids()[1]);
-    EXPECT_EQ(interner.ref_count(set.ids()[0]), 2u);
-    {
-      const PatternSet copy = set;
-      EXPECT_EQ(interner.ref_count(set.ids()[0]), 4u);
-    }
-    EXPECT_EQ(interner.ref_count(set.ids()[0]), 2u);
-  }
-  EXPECT_EQ(interner.num_live(), 0u);
-}
-
-TEST(StageCache, CachedDesignsDedupSwitchPatterns) {
-  CompileService service;
+TEST(StageCache, CachedReopenTakesItsGraphFromTheCache) {
+  const auto nl = four_context_workload();
   const auto spec = small_spec();
-  service.compile(four_context_workload(), spec);
-  const std::size_t live_after_one = service.patterns().num_live();
-  EXPECT_GT(live_after_one, 0u);
-  // A second design reuses mostly the same patterns (all-zero rows alone
-  // dedup massively), so the live count grows far slower than the stores.
-  service.compile(four_context_workload(10), spec);
-  EXPECT_GT(service.patterns().dedup_hits(), service.patterns().num_live());
+  CompileService service;
+  std::weak_ptr<const arch::RoutingGraph> graph;
+  {
+    const Compiled cold = service.compile(nl, spec);
+    ASSERT_NE(cold.design.graph, nullptr);
+    EXPECT_EQ(cold.design.full_bitstream.switch_names(), cold.design.graph);
+    const Compiled warm = service.compile(nl, spec);
+    EXPECT_EQ(warm.design.cache.misses, 0u);
+    // The place replay takes the live graph of the grown spec instead of
+    // building another, and the replayed bitstream names its switch rows
+    // through it.
+    EXPECT_EQ(warm.design.graph.get(), cold.design.graph.get());
+    EXPECT_EQ(warm.design.full_bitstream.switch_names(), warm.design.graph);
+    graph = cold.design.graph;
+  }
+  // Neither the artifacts nor the memo keep a graph alive.
+  EXPECT_TRUE(graph.expired());
+  const Compiled again = service.compile(nl, spec);
+  EXPECT_EQ(again.design.cache.misses, 0u);
+  EXPECT_EQ(config::to_text(again.design.full_bitstream),
+            config::to_text(core::compile(nl, spec).full_bitstream));
 }
 
 // --- content keys -----------------------------------------------------------
@@ -353,6 +319,8 @@ TEST(DeltaRecompile, RetableEditMatchesFullRecompileBitForBit) {
   const core::CompiledDesign full = core::compile(edited, spec, opts);
   expect_same_design(full, inc.design);
   expect_functionally_correct(inc.design, edited);
+  // Same grown fabric, so the edit reuses the previous design's graph.
+  EXPECT_EQ(inc.design.graph.get(), base.design.graph.get());
 }
 
 TEST(DeltaRecompile, OptionChangeFallsBackToFullCompile) {

@@ -2,7 +2,11 @@
 // classification (Figs. 3-5), bitstreams and redundancy statistics (Table 1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "config/bitstream.hpp"
@@ -60,6 +64,23 @@ TEST(ContextPattern, ForIdBitMatchesTable2) {
 TEST(ContextPattern, RejectsBadContextCounts) {
   EXPECT_THROW(ContextPattern(3), InvalidArgument);
   EXPECT_THROW(ContextPattern::from_string("101"), InvalidArgument);
+  EXPECT_THROW(ContextPattern(128), InvalidArgument);
+  EXPECT_THROW(ContextPattern(4).value_in(4), InvalidArgument);
+}
+
+TEST(ContextPattern, PacksEveryContextIntoOneWord) {
+  // 64 contexts fill the word; values, word and text agree.
+  ContextPattern p(64, true);
+  EXPECT_EQ(p.word(), ~std::uint64_t{0});
+  p.set_value(63, false);
+  p.set_value(0, false);
+  EXPECT_EQ(p.word(), (~std::uint64_t{0} >> 1) & ~std::uint64_t{1});
+  EXPECT_EQ(p.to_string(), "0" + std::string(62, '1') + "0");
+  EXPECT_EQ(ContextPattern(p.values()), p);
+  // from_word drops bits beyond the context count.
+  EXPECT_EQ(ContextPattern::from_word(0xf5, 4),
+            ContextPattern::from_string("0101"));
+  EXPECT_NE(ContextPattern(4), ContextPattern(8));
 }
 
 TEST(Classify, ConstantPatterns) {
@@ -149,7 +170,7 @@ TEST(Bitstream, AddAndQueryRows) {
   bs.add_row("lut0", ResourceKind::kLutBit,
              ContextPattern::from_string("1111"));
   EXPECT_EQ(bs.num_rows(), 2u);
-  EXPECT_EQ(bs.row(i).name, "sw0");
+  EXPECT_EQ(bs.name(i), "sw0");
   EXPECT_EQ(bs.count_kind(ResourceKind::kRoutingSwitch), 1u);
   EXPECT_EQ(bs.count_kind(ResourceKind::kLutBit), 1u);
   EXPECT_EQ(bs.count_kind(ResourceKind::kControlBit), 0u);
@@ -182,9 +203,58 @@ TEST(Bitstream, Append) {
   a.add_row("a", ResourceKind::kLutBit, ContextPattern(4, true));
   Bitstream b(4);
   b.add_row("b", ResourceKind::kLutBit, ContextPattern(4, false));
+  b.add_row("c", ResourceKind::kControlBit, ContextPattern(4, true));
   a.append(b);
-  EXPECT_EQ(a.num_rows(), 2u);
-  EXPECT_EQ(a.row(1).name, "b");
+  EXPECT_EQ(a.num_rows(), 3u);
+  EXPECT_EQ(a.name(1), "b");
+  a.append_rows(b, 1, 1);
+  a.append_rows(a, 0, 2);  // a range of itself
+  ASSERT_EQ(a.num_rows(), 6u);
+  EXPECT_EQ(a.name(3), "c");
+  EXPECT_EQ(a.row(3).kind, ResourceKind::kControlBit);
+  EXPECT_EQ(a.name(4), "a");
+  EXPECT_EQ(a.name(5), "b");
+  EXPECT_THROW(a.append_rows(b, 1, 2), InvalidArgument);
+}
+
+/// Names switch i "sw<i>".
+class NumberedNames : public SwitchNameSource {
+ public:
+  const std::string& switch_name(std::size_t id) const override {
+    names_.push_back("sw" + std::to_string(id));
+    return names_.back();
+  }
+
+ private:
+  mutable std::deque<std::string> names_;
+};
+
+TEST(Bitstream, SwitchRowsNameThroughTheirSource) {
+  Bitstream bs(4);
+  bs.add_switch_row(7, ContextPattern::from_string("0110"));
+  bs.add_row("lut", ResourceKind::kLutBit, ContextPattern(4));
+  EXPECT_EQ(bs.row(0).kind, ResourceKind::kRoutingSwitch);
+  EXPECT_THROW(bs.name(0), InvalidArgument);  // no source yet
+  EXPECT_EQ(bs.name(1), "lut");
+  const auto names = std::make_shared<const NumberedNames>();
+  bs.set_switch_names(names);
+  EXPECT_EQ(bs.name(0), "sw7");
+
+  // Copies share the source; appending switch rows adopts it, and rows
+  // of another fabric's source are refused.
+  Bitstream copy(4);
+  copy.append(bs);
+  EXPECT_EQ(copy.switch_names(), bs.switch_names());
+  EXPECT_EQ(copy.name(0), "sw7");
+  Bitstream other(4);
+  other.add_switch_row(1, ContextPattern(4));
+  other.set_switch_names(std::make_shared<const NumberedNames>());
+  EXPECT_THROW(copy.append(other), InvalidArgument);
+
+  copy.set_pattern(0, ContextPattern::from_string("1111"));
+  EXPECT_EQ(copy.row(0).pattern.to_string(), "1111");
+  EXPECT_EQ(bs.row(0).pattern.to_string(), "0110");
+  EXPECT_THROW(copy.set_pattern(0, ContextPattern(8)), InvalidArgument);
 }
 
 // Table 1 fixture: G3/G9 self-redundant, G2 == G4 regular, G1 complex.

@@ -3,9 +3,15 @@
 // reference evaluator, plus MCFPGA-level reports.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "config/serialize.hpp"
 #include "core/mcfpga.hpp"
 #include "core/report.hpp"
 #include "rcm/context_decoder.hpp"
@@ -165,6 +171,105 @@ TEST(Flow, LocalControlUsesNoMoreBlocksThanGlobal) {
   // Both still verify.
   EXPECT_EQ(local.verify(8, 29), 0u);
   EXPECT_EQ(global.verify(8, 31), 0u);
+}
+
+/// Fabric of the pinned designs below: 4x4 seed, auto-grown.
+arch::FabricSpec pinned_spec(std::size_t contexts) {
+  arch::FabricSpec spec;
+  spec.width = 4;
+  spec.height = 4;
+  spec.channel_width = 10;
+  spec.double_length_tracks = 4;
+  spec.num_contexts = contexts;
+  spec.logic_block.num_contexts = contexts;
+  return spec;
+}
+
+netlist::MultiContextNetlist pinned_random(std::size_t contexts,
+                                           std::uint64_t seed, double share) {
+  workload::RandomMultiContextParams params;
+  params.base.num_inputs = 8;
+  params.base.num_nodes = 24;
+  params.base.max_arity = 4;
+  params.base.seed = seed;
+  params.num_contexts = contexts;
+  params.share_fraction = share;
+  return workload::random_multi_context(params);
+}
+
+TEST(Flow, FullBitstreamTextIsPinned) {
+  // Content hashes of config::to_text(full_bitstream), recorded before
+  // bitstream rows stopped storing names and patterns left the heap: the
+  // serialized bitstream must not move by a byte.
+  CompileOptions options;
+  options.placer.timing_mode = true;
+  options.router.timing_mode = true;
+  struct Pinned {
+    const char* what;
+    netlist::MultiContextNetlist netlist;
+    std::size_t contexts;
+    std::size_t rows;
+    std::uint64_t hash;
+  };
+  const Pinned designs[] = {
+      {"random 4-context", pinned_random(4, 3, 0.3), 4, 21952,
+       0xd1644dcd7c61b7a9ull},
+      {"random 8-context", pinned_random(8, 2, 0.35), 8, 38747,
+       0x634bf9e2f3fb06aaull},
+      {"pipeline(4,12)", workload::pipeline_workload(4, 12), 4, 12982,
+       0x624d24dc7bd4056full},
+  };
+  for (const Pinned& p : designs) {
+    const CompiledDesign d =
+        compile(p.netlist, pinned_spec(p.contexts), options);
+    EXPECT_EQ(d.full_bitstream.num_rows(), p.rows) << p.what;
+    EXPECT_EQ(common::fnv1a(config::to_text(d.full_bitstream)), p.hash)
+        << p.what;
+  }
+}
+
+TEST(Flow, DeviceSharesTheCompileGraph) {
+  const MCFPGA chip(workload::pipeline_workload(4, 5), default_spec());
+  ASSERT_NE(chip.design().graph, nullptr);
+  EXPECT_EQ(&chip.graph(), chip.design().graph.get());
+  EXPECT_EQ(chip.design().full_bitstream.switch_names(),
+            chip.design().graph);
+  EXPECT_EQ(chip.design().graph->spec(), chip.design().fabric);
+}
+
+TEST(Flow, AreaReportMatchesPerBlockBitstreams) {
+  // area_report prices switch-id groups; pricing one Bitstream per
+  // (owner, x, y) block, rows in switch order, must agree exactly.
+  const MCFPGA chip(pinned_random(4, 3, 0.3), pinned_spec(4));
+  const CompiledDesign& d = chip.design();
+  std::map<std::tuple<arch::SwitchOwner, std::int32_t, std::int32_t>,
+           config::Bitstream>
+      blocks;
+  for (std::size_t s = 0; s < d.graph->num_switches(); ++s) {
+    const auto& sw = d.graph->rr_switch(static_cast<arch::SwitchId>(s));
+    blocks.try_emplace(std::make_tuple(sw.owner, sw.x, sw.y),
+                       d.fabric.num_contexts)
+        .first->second.add_row(sw.name,
+                               config::ResourceKind::kRoutingSwitch,
+                               d.routing.switch_patterns[s]);
+  }
+  std::vector<config::Bitstream> block_list;
+  for (auto& [key, rows] : blocks) {
+    block_list.push_back(std::move(rows));
+  }
+  for (const bool share : {true, false}) {
+    area::ComparisonOptions options;
+    options.share_identical_patterns = share;
+    const area::ComparisonReport grouped = chip.area_report(options);
+    const area::ComparisonReport reference =
+        area::AreaModel().compare_fabric(d.fabric, block_list, options);
+    EXPECT_EQ(grouped.ratio(), reference.ratio());
+    EXPECT_EQ(grouped.proposed.total(), reference.proposed.total());
+    EXPECT_EQ(grouped.switch_rows, reference.switch_rows);
+    EXPECT_EQ(grouped.decoder_networks, reference.decoder_networks);
+    EXPECT_EQ(grouped.decoder_ses, reference.decoder_ses);
+    EXPECT_EQ(grouped.shared_taps, reference.shared_taps);
+  }
 }
 
 }  // namespace

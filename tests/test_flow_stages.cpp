@@ -63,7 +63,7 @@ void expect_same_bitstream(const config::Bitstream& a,
   ASSERT_EQ(a.num_contexts(), b.num_contexts());
   ASSERT_EQ(a.num_rows(), b.num_rows());
   for (std::size_t r = 0; r < a.num_rows(); ++r) {
-    EXPECT_EQ(a.row(r).name, b.row(r).name) << "row " << r;
+    EXPECT_EQ(a.name(r), b.name(r)) << "row " << r;
     EXPECT_EQ(a.row(r).kind, b.row(r).kind) << "row " << r;
     EXPECT_EQ(a.row(r).pattern, b.row(r).pattern) << "row " << r;
   }

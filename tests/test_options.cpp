@@ -141,6 +141,40 @@ TEST(RouterOptionsValidation, HugePresentFactorGrowthBehavesLikeDefault) {
   }
 }
 
+TEST(RouterOptionsValidation, HugeHistoryIncrementBehavesLikeDefault) {
+  // The history sibling of the present-factor overflow: a finite
+  // history_increment of 1e308 used to overflow a congested node's history
+  // to inf, and the router threw "no physical path" on this design.  The
+  // history is clamped, so the compile fails only to converge, as it does
+  // with the default increment.
+  arch::FabricSpec spec;
+  spec.width = 3;
+  spec.height = 3;
+  spec.channel_width = 2;
+  spec.double_length_tracks = 0;
+  const auto nl = workload::pipeline_workload(4, 12);
+  const auto outcome = [&](double increment) -> std::string {
+    core::CompileOptions o;
+    o.router.history_increment = increment;
+    try {
+      core::compile(nl, spec, o);
+      return "routed";
+    } catch (const FlowError& e) {
+      return e.what();
+    }
+  };
+  const std::string reference = outcome(1.0);
+  ASSERT_NE(reference.find("routing failed to converge"), std::string::npos)
+      << reference;
+  for (const double increment : {1e300, 1e308}) {
+    const std::string got = outcome(increment);
+    EXPECT_EQ(got.find("no physical path"), std::string::npos)
+        << "history_increment " << increment << ": " << got;
+    EXPECT_NE(got.find("routing failed to converge"), std::string::npos)
+        << "history_increment " << increment << ": " << got;
+  }
+}
+
 TEST(DelayParamsValidation, RejectsNonPositiveOrNonFiniteDelays) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -1,6 +1,7 @@
 // Unit tests for the placer and the PathFinder router.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -193,7 +194,8 @@ TEST(Router, CongestionResolvedByNegotiation) {
 }
 
 TEST(Router, ContextsRouteIndependently) {
-  const RoutingGraph g(spec_4x4());
+  const auto graph = std::make_shared<const RoutingGraph>(spec_4x4());
+  const RoutingGraph& g = *graph;
   const Router router(g);
   std::vector<std::vector<RouteNet>> nets(4);
   // Different source/sink per context; same physical wires may be reused.
@@ -207,8 +209,9 @@ TEST(Router, ContextsRouteIndependently) {
   const auto result = router.route(nets);
   EXPECT_TRUE(result.success);
   // Patterns reflect per-context usage.
-  const auto bs = result.to_bitstream(g);
+  const auto bs = result.to_bitstream(graph);
   EXPECT_EQ(bs.num_rows(), g.num_switches());
+  EXPECT_EQ(bs.name(5), g.rr_switch(5).name);
 }
 
 TEST(Router, DoubleLengthPreferenceShortensLongRoutes) {

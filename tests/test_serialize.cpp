@@ -20,7 +20,7 @@ TEST(Serialize, RoundTripsPaperExample) {
   ASSERT_EQ(parsed.num_rows(), original.num_rows());
   EXPECT_EQ(parsed.num_contexts(), original.num_contexts());
   for (std::size_t r = 0; r < original.num_rows(); ++r) {
-    EXPECT_EQ(parsed.row(r).name, original.row(r).name);
+    EXPECT_EQ(parsed.name(r), original.name(r));
     EXPECT_EQ(parsed.row(r).kind, original.row(r).kind);
     EXPECT_EQ(parsed.row(r).pattern, original.row(r).pattern);
   }
